@@ -1,8 +1,8 @@
 //! The metadata/data-separation bench: bytes-on-wire, per-replica
 //! storage, and throughput of the same Zipfian YCSB-B workload under
-//! full replication, the whole-copy 2t+1 bulk plane, and the
-//! erasure-coded (k-of-m fragment) bulk plane, swept over payload size ×
-//! fleet size.
+//! full replication, whole copies on the 2t+1 bulk plane (the `k = 1`
+//! dispersal), and k-of-m erasure-coded fragments, swept over payload
+//! size × fleet size.
 //!
 //! ```sh
 //! cargo bench -p sbs-bench --bench bulk_vs_full            # full sweep
@@ -11,9 +11,9 @@
 //!
 //! Full replication ships every shard-map snapshot to all `n` servers
 //! (twice, counting the helping refresh); the bulk plane ships it to
-//! `2t + 1` data replicas once and moves 40-byte references through the
-//! metadata quorum; the coded plane ships each of those replicas only a
-//! `1/k` fragment. The interesting columns are the `total` ratio (grows
+//! `2t + 1` data replicas once (each copy with its Merkle path) and
+//! moves 40-byte references through the metadata quorum; the coded plane
+//! ships each of those replicas only a `1/k` fragment. The interesting columns are the `total` ratio (grows
 //! with payload size and with `n`) and `repl KiB` — the *per-replica
 //! stored* bytes the coded mode cuts by ~`k`×. Every coded run is also
 //! checked differentially against the full-replication run: same key

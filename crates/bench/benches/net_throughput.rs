@@ -7,10 +7,15 @@
 //!
 //! Both communication modes run at `t = 1`: the asynchronous fleet
 //! (9 servers) and the synchronous one (4 servers, 5 ms link bound —
-//! orders of magnitude above loopback latency, so timeouts never fire
-//! on the happy path). Each run's per-key histories are checked for
-//! atomicity before its numbers are recorded: a fast wrong store is
-//! not a result.
+//! orders of magnitude above loopback latency). Write and read rounds
+//! complete on acknowledgements, but a synchronous *help round* (the
+//! writer's `NEW_HELP_VAL` refresh, Fig. 5) completes only when its
+//! round timer fires (`WPhase::HelpRound` in `sbs-core`'s engine waits
+//! for `timed_out`), so sync puts that need one take at least the
+//! derived round-trip timeout (2.5× the link bound) even on the happy
+//! path. The table therefore prints put and get percentiles side by
+//! side. Each run's per-key histories are checked for atomicity before
+//! its numbers are recorded: a fast wrong store is not a result.
 //!
 //! Rows append to `BENCH_net.json` at the repo root. Unlike the
 //! simulator trajectories, these numbers move with the host machine —
@@ -58,15 +63,17 @@ fn main() {
         "net_throughput: {ops}-op Zipfian workloads over loopback TCP, 64 keys, t=1, closed loop"
     );
     println!(
-        "{:<10} {:<6} {:>7} {:>7} {:>9} {:>17} {:>10} {:>10} {:>10}",
+        "{:<10} {:<6} {:>7} {:>7} {:>9} {:>17} {:>11} {:>11} {:>11} {:>11} {:>10}",
         "mix",
         "mode",
         "servers",
         "shards",
         "writers",
         "ops/wall-second",
-        "p50 us",
-        "p99 us",
+        "put p50 us",
+        "put p99 us",
+        "get p50 us",
+        "get p99 us",
         "wall ms"
     );
     let mixes: &[(OpMix, &str)] = if smoke {
@@ -81,23 +88,35 @@ fn main() {
         ] {
             let servers = builder.config().n;
             let report = run_case(builder, mix, ops, mix_name);
-            // Merge put/get percentiles by the dominant kind for the
-            // table; the trajectory records the full split.
+            // The trajectory row keeps its schema: `p50/p99_latency_ns`
+            // are the dominant kind's (gets when any completed), plus
+            // the per-kind p99s.
             let lat = report
                 .get_latency
                 .as_ref()
                 .or(report.put_latency.as_ref())
                 .expect("completed ops populate the histograms");
+            // Per-kind microseconds for the table ("-" when the mix ran
+            // no op of that kind).
+            let us = |l: Option<&sbs_sim::LatencySummary>, p99: bool| {
+                l.map_or_else(
+                    || "-".to_string(),
+                    |l| format!("{:.1}", if p99 { l.p99_ns } else { l.p50_ns } as f64 / 1e3),
+                )
+            };
+            let (put, get) = (report.put_latency.as_ref(), report.get_latency.as_ref());
             println!(
-                "{:<10} {:<6} {:>7} {:>7} {:>9} {:>17.0} {:>10.1} {:>10.1} {:>10.1}",
+                "{:<10} {:<6} {:>7} {:>7} {:>9} {:>17.0} {:>11} {:>11} {:>11} {:>11} {:>10.1}",
                 mix_name,
                 mode,
                 servers,
                 4,
                 2,
                 report.ops_per_wall_sec,
-                lat.p50_ns as f64 / 1e3,
-                lat.p99_ns as f64 / 1e3,
+                us(put, false),
+                us(put, true),
+                us(get, false),
+                us(get, true),
                 report.wall_elapsed.as_secs_f64() * 1e3,
             );
             traj.row(vec![

@@ -1,12 +1,13 @@
 //! Systematic `k`-of-`m` erasure coding and the Merkle-style fragment
 //! commitment — the AVID / PoWerStore dispersal primitives.
 //!
-//! Full-copy bulk storage ships the whole payload to every data replica;
-//! dispersal instead splits it into `m` **fragments** of `⌈len/k⌉` bytes
+//! Dispersal splits a payload into `m` **fragments** of `⌈len/k⌉` bytes
 //! each such that *any* `k` of them reconstruct the payload — cutting
-//! per-replica bytes by ~`k`× while keeping the same `m = 2t + 1` replica
-//! window. The code is **systematic**: fragments `0..k` are the payload's
-//! `k` stripes verbatim, fragments `k..m` are parity.
+//! per-replica bytes by ~`k`× against whole copies while keeping the same
+//! `m = 2t + 1` replica window. The code is **systematic**: fragments
+//! `0..k` are the payload's `k` stripes verbatim, fragments `k..m` are
+//! parity. Whole-copy replication is the `k = 1` case: the polynomial is
+//! a constant, so every fragment is the payload itself.
 //!
 //! # The code
 //!
@@ -29,14 +30,14 @@
 //! metadata quorum. Each `FRAG_PUT` carries the fragment plus its Merkle
 //! path ([`merkle_proof`]), so a replica verifies **its own fragment**
 //! against the root before storing ([`verify_fragment`]) — fabricated
-//! fragments are unstorable, exactly like fabricated blobs — and a reader
+//! fragments are unstorable — and a reader
 //! verifies every served fragment the same way before feeding it to
 //! [`reconstruct`]. A Byzantine replica garbling the fragment it serves
 //! is therefore detected fragment-by-fragment; the reader just keeps
 //! collecting until `k` *verified* fragments arrive. Interior nodes are
 //! hashed in a digest domain of their own (see [`node_hash`]), so a
 //! node preimage — which proofs make public — can never be replayed as
-//! a content-addressed blob under the root.
+//! a leaf under the root.
 //!
 //! Note the writer-consistency caveat inherited from the adversary model:
 //! the commitment proves each fragment belongs to the committed set, not
@@ -44,10 +45,10 @@
 //! commit to an inconsistent fragment set; readers survive because the
 //! reconstruction must still decode into a well-formed value (the store
 //! layer re-decodes and falls back to a metadata re-read otherwise) —
-//! the same defense the blob path uses against fabricated references.
+//! the same defense it uses against fabricated references.
 
-use crate::blob::SharedBytes;
 use crate::digest::{digest_of, digest_of_node_preimage, BulkDigest};
+use crate::store::SharedBytes;
 use std::sync::OnceLock;
 
 /// GF(2⁸) modulus: the standard Reed–Solomon polynomial `x⁸+x⁴+x³+x²+1`.
@@ -128,6 +129,11 @@ pub fn encode_fragments(bytes: &[u8], k: usize, m: usize) -> Vec<SharedBytes> {
         1 <= k && k <= m && m <= 256,
         "coding shape k={k} of m={m} out of range"
     );
+    if k == 1 {
+        // Replication: the degree-0 polynomial is the payload itself, so
+        // every fragment is the same bytes — share one allocation.
+        return vec![SharedBytes::from(bytes); m];
+    }
     let flen = fragment_len(bytes.len() as u64, k) as usize;
     let stripe = |i: usize| -> Vec<u8> {
         let mut s = bytes[(i * flen).min(bytes.len())..((i + 1) * flen).min(bytes.len())].to_vec();
@@ -208,11 +214,11 @@ const NODE_TAG: u8 = 0x4D;
 
 /// Hashes two child digests into their parent node. Node hashing lives
 /// in its own digest domain (`digest_of_node_preimage`), disjoint from
-/// content addressing: the 65-byte preimage of a node is *public* (any
+/// leaf hashing: the 65-byte preimage of a node is *public* (any
 /// fragment proof exposes the top node's children), so if nodes were
-/// hashed with plain [`digest_of`], a writer could `BULK_PUT` that
-/// preimage under the root as a digest-passing whole blob and shadow
-/// the dispersal with undecodable bytes. The input-side `NODE_TAG`
+/// hashed with plain [`digest_of`], that preimage would verify as a
+/// one-fragment dispersal under the root and could shadow the real
+/// dispersal with undecodable bytes. The input-side `NODE_TAG`
 /// additionally separates nodes from *leaves within the node domain*.
 fn node_hash(l: &BulkDigest, r: &BulkDigest) -> BulkDigest {
     let mut buf = [0u8; 65];
@@ -418,6 +424,16 @@ mod tests {
         assert_eq!(frags[2].len(), 50, "parity has stripe length");
     }
 
+    /// Whole-copy replication is the `k = 1` dispersal: every fragment is
+    /// the payload, and all of them share one allocation.
+    #[test]
+    fn k1_fragments_are_shared_whole_copies() {
+        let bytes: Vec<u8> = (0..100).collect();
+        let frags = encode_fragments(&bytes, 1, 3);
+        assert!(frags.iter().all(|f| f.as_ref() == &bytes[..]));
+        assert!(frags.iter().all(|f| std::sync::Arc::ptr_eq(f, &frags[0])));
+    }
+
     #[test]
     fn every_k_subset_reconstructs() {
         let mut rng = DetRng::from_seed(0xC0DE);
@@ -503,15 +519,15 @@ mod tests {
         }
     }
 
-    /// Regression (REVIEW of ISSUE 5): the top node's 65-byte preimage is
-    /// public — any fragment proof exposes (or lets a reader derive) the
-    /// root's two children — so it must NOT content-address to the root.
-    /// Pre-fix, `node_hash` used plain `digest_of`, and a writer could
-    /// `BULK_PUT` the preimage as a digest-passing whole blob under the
-    /// root, permanently shadowing the dispersal with undecodable bytes.
+    /// Regression: the top node's 65-byte preimage is public — any
+    /// fragment proof exposes (or lets a reader derive) the root's two
+    /// children — so it must NOT content-address to the root. If
+    /// `node_hash` used plain `digest_of`, a writer could store the
+    /// preimage as a verified one-fragment dispersal under the root,
+    /// permanently shadowing the real dispersal with undecodable bytes.
     #[test]
     fn interior_node_preimages_are_not_content_addressable() {
-        use crate::blob::{BulkStore, PutOutcome};
+        use crate::store::{FragmentStore, PutOutcome, StoredFragment};
         let mut rng = DetRng::from_seed(0x5EED);
         for m in 2usize..=9 {
             let frags: Vec<SharedBytes> = (0..m)
@@ -536,12 +552,19 @@ mod tests {
                 root,
                 "m={m}: a node preimage must never digest to the root"
             );
-            // …and so a verified blob store refuses it under the root.
-            let mut s = BulkStore::new();
+            // …and so the verified store refuses it under the root as a
+            // one-fragment dispersal.
+            let mut s = FragmentStore::new();
+            let forged = StoredFragment {
+                index: 0,
+                total: 1,
+                bytes: preimage.into(),
+                proof: Vec::new(),
+            };
             assert_eq!(
-                s.put(0, root, preimage.into()),
+                s.put(0, root, forged),
                 PutOutcome::DigestMismatch,
-                "m={m}: the shadowing blob must be unstorable"
+                "m={m}: the shadowing fragment must be unstorable"
             );
         }
     }

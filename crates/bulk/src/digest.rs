@@ -37,8 +37,7 @@ const LANE_TWEAK: [u64; 4] = [
 /// in a payload): a node digest is computed from lane states no byte
 /// string fed to [`digest_of`] starts from, so within the no-offline-
 /// search adversary model above, a known node preimage cannot be
-/// replayed as a content-addressed blob that collides with the node's
-/// digest.
+/// replayed as a leaf that collides with the node's digest.
 const NODE_DOMAIN: u64 = 0x4E4F_4445_5F68_6173; // "NODE_has"
 
 /// A 256-bit content address over a byte string.
@@ -52,7 +51,7 @@ impl BulkDigest {
 
 impl fmt::Debug for BulkDigest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Eight leading hex digits identify a blob in test output without
+        // Eight leading hex digits identify a digest in test output without
         // drowning it.
         write!(f, "#{:08x}…", (self.0[0] >> 32) as u32)
     }
@@ -68,8 +67,8 @@ pub fn digest_of(bytes: &[u8]) -> BulkDigest {
 
 /// The digest of an interior Merkle-node preimage — same construction as
 /// [`digest_of`] but started from [`NODE_DOMAIN`]-tweaked lane states, so
-/// node digests and content addresses live in disjoint domains: no blob a
-/// writer can `BULK_PUT` content-addresses to a commitment root.
+/// node digests and leaf digests live in disjoint domains: no fragment a
+/// writer can store hashes to an interior node or a multi-leaf root.
 pub(crate) fn digest_of_node_preimage(bytes: &[u8]) -> BulkDigest {
     digest_in_domain(NODE_DOMAIN, bytes)
 }
@@ -117,11 +116,6 @@ impl BulkRef {
             len: bytes.len() as u64,
         }
     }
-
-    /// True iff `bytes` is exactly the string this reference pins.
-    pub fn verifies(&self, bytes: &[u8]) -> bool {
-        bytes.len() as u64 == self.len && digest_of(bytes) == self.digest
-    }
 }
 
 impl fmt::Debug for BulkRef {
@@ -154,7 +148,7 @@ mod tests {
     fn digest_is_deterministic_and_frozen() {
         assert_eq!(digest_of(b"abc"), digest_of(b"abc"));
         // Frozen snapshot: changing the hash silently re-addresses every
-        // stored blob — make that a loud, reviewed change.
+        // stored fragment — make that a loud, reviewed change.
         let d = digest_of(b"stabilizing-storage");
         assert_eq!(
             d.0,
@@ -208,20 +202,20 @@ mod tests {
         for _ in 0..300 {
             let len = 1 + (rng.next_u64() % 512) as usize;
             let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-            let r = BulkRef::to_bytes(&bytes);
-            assert!(r.verifies(&bytes));
+            let d = digest_of(&bytes);
+            assert_eq!(digest_of(&bytes), d, "the digest is a pure function");
 
             // Flip one byte (guaranteed-nonzero mask).
             let mut flipped = bytes.clone();
             let i = (rng.next_u64() as usize) % len;
             flipped[i] ^= 1 + (rng.next_u64() % 255) as u8;
-            assert!(!r.verifies(&flipped), "byte flip at {i} digest-passed");
+            assert_ne!(digest_of(&flipped), d, "byte flip at {i} digest-passed");
 
             // Truncate and extend.
-            assert!(!r.verifies(&bytes[..len - 1]));
+            assert_ne!(digest_of(&bytes[..len - 1]), d);
             let mut extended = bytes.clone();
             extended.push(rng.next_u64() as u8);
-            assert!(!r.verifies(&extended));
+            assert_ne!(digest_of(&extended), d);
         }
     }
 
@@ -231,7 +225,7 @@ mod tests {
         let bytes = b"payload".to_vec();
         let mut r = BulkRef::to_bytes(&bytes);
         r.scramble(&mut rng);
-        assert!(!r.verifies(&bytes));
+        assert_ne!(r, BulkRef::to_bytes(&bytes));
         assert_eq!(Payload::wire_size(&r), 40);
     }
 }

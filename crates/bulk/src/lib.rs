@@ -17,37 +17,37 @@
 //!   quorum carries in place of the value.
 //! - [`BulkCodec`] — deterministic byte serialization, so the same
 //!   logical value always hashes to the same address.
-//! - [`BulkStore`] — a per-replica blob store that **verifies the content
-//!   address before storing**, making fabricated blobs unstorable.
 //! - [`encode_fragments`] / [`reconstruct`] + [`merkle_root`] /
 //!   [`merkle_proof`] / [`verify_fragment`] — systematic `k`-of-`m`
 //!   erasure coding over GF(2⁸) and the Merkle-style fragment commitment
-//!   (AVID / PoWerStore dispersal), with [`FragmentStore`] as the
-//!   per-replica verified fragment store.
+//!   (AVID / PoWerStore dispersal). Whole-copy replication is the
+//!   degenerate `k = 1` dispersal: every fragment is the whole payload.
+//! - [`FragmentStore`] — the per-replica store that **replays the
+//!   commitment before storing**, making fabricated fragments
+//!   unstorable.
 //! - [`data_replica_slots`] — the deterministic per-shard choice of data
 //!   replicas out of the `n` servers.
 //!
 //! The store layer (`sbs-store`) composes these into a two-plane put/get
-//! path: payload bytes (whole copies, or one coded fragment each) to the
-//! `2t + 1` data replicas, the [`BulkRef`] through the unmodified
-//! register metadata quorum, and digest/commitment verification on every
-//! fetch so a Byzantine data replica serving garbage bytes is detected
-//! and routed around.
+//! path: one fragment per data replica of the shard's `2t + 1` window,
+//! the [`BulkRef`] through the unmodified register metadata quorum, and
+//! commitment verification on every fetch so a Byzantine data replica
+//! serving garbage bytes is detected and routed around.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod blob;
 mod codec;
 mod coding;
 mod digest;
 mod placement;
+mod store;
 
-pub use blob::{BulkStore, FragmentStore, PutOutcome, SharedBytes, StoredFragment};
 pub use codec::{get_bytes, get_u32, get_u64, put_bytes, put_u32, put_u64, BulkCodec};
 pub use coding::{
     encode_fragments, fragment_leaves, fragment_len, merkle_proof, merkle_root, reconstruct,
     verify_fragment, MerkleTree,
 };
 pub use digest::{digest_of, BulkDigest, BulkRef};
-pub use placement::{coded_push_quorum, data_replica_count, data_replica_slots, push_quorum};
+pub use placement::{coded_push_quorum, data_replica_count, data_replica_slots};
+pub use store::{FragmentStore, PutOutcome, SharedBytes, StoredFragment};

@@ -2,10 +2,11 @@
 //! hold a shard's bulk payload.
 //!
 //! The metadata quorum spans all `n` servers, but the payload only needs
-//! `2t + 1` of them (Cachin–Dobre–Vukolić): waiting for `t + 1` store
-//! acknowledgements guarantees at least one *correct* replica holds the
-//! bytes before the reference becomes visible through the metadata plane,
-//! and a fetching reader can always identify honest bytes by digest. The
+//! `2t + 1` of them (Cachin–Dobre–Vukolić): waiting for `k + t` verified
+//! store acknowledgements guarantees at least `k` *correct* replicas hold
+//! fragments before the reference becomes visible through the metadata
+//! plane, and a fetching reader can always identify honest fragments by
+//! their commitment. The
 //! placement is a wrapping window anchored at the shard index, so it is a
 //! pure function of `(shard, n, r)` — every client and every test derives
 //! the identical replica set with no coordination — and consecutive
@@ -18,13 +19,7 @@ pub fn data_replica_count(t: usize) -> usize {
     2 * t + 1
 }
 
-/// Store acknowledgements a writer must collect before publishing the
-/// reference: `t + 1`, so at least one correct replica holds the bytes.
-pub fn push_quorum(t: usize) -> usize {
-    t + 1
-}
-
-/// Store acknowledgements a *coded* dispersal must collect before
+/// Store acknowledgements a dispersal must collect before
 /// publishing the reference: `k + t`, so at least `k` **correct**
 /// replicas hold verified fragments — enough for any later reader to
 /// reconstruct even if every Byzantine replica garbles or withholds.
@@ -58,7 +53,7 @@ mod tests {
     fn quorum_arithmetic() {
         assert_eq!(data_replica_count(1), 3);
         assert_eq!(data_replica_count(2), 5);
-        assert_eq!(push_quorum(1), 2);
+        assert_eq!(coded_push_quorum(1, 1), 2);
     }
 
     #[test]

@@ -1,51 +1,53 @@
-//! The per-replica stores: digest-keyed payloads, verified on the way in.
+//! The per-replica fragment store: commitment-keyed payloads, verified
+//! on the way in.
 //!
-//! A correct data replica recomputes the content address (or replays the
-//! fragment commitment) before storing, so fabricated blobs and fragments
-//! (link garbage, Byzantine writers announcing a digest their bytes do
-//! not match) are *unstorable* — the store can only ever hold
-//! self-consistent `(digest, bytes)` pairs. Storage is content-addressed
-//! and idempotent: re-putting a held digest is a no-op acknowledgement,
-//! which also makes duplicate `BULK_PUT` deliveries and republished
-//! identical maps harmless.
+//! A correct data replica replays the fragment's Merkle path against the
+//! announced commitment root before storing, so fabricated fragments
+//! (link garbage, Byzantine writers announcing a root their bytes do not
+//! belong to) are *unstorable* — the store can only ever hold fragments
+//! that provably belong to their root. Storage is idempotent: re-putting
+//! a held fragment is a no-op acknowledgement, which also makes duplicate
+//! `FRAG_PUT` deliveries and republished identical maps harmless.
+//! Whole-copy replication is the `k = 1` dispersal, whose every fragment
+//! is the whole payload, so one store serves both shapes.
 //!
-//! Blobs are held as [`SharedBytes`] (`Arc<[u8]>`): storing and serving a
-//! blob shares the sender's allocation instead of copying it, so a fetch
-//! reply costs a reference-count bump regardless of payload size.
+//! Fragments are held as [`SharedBytes`] (`Arc<[u8]>`): storing and
+//! serving one shares the sender's allocation instead of copying it, so a
+//! fetch reply costs a reference-count bump regardless of payload size.
 //!
 //! # Retention (digest GC)
 //!
-//! By default every verified blob is kept forever — overwrites of a shard
-//! map orphan the old snapshot's blob, and [`BulkStore::bytes_stored`]
-//! only grows. [`BulkStore::with_retention`] bounds that: only the last
-//! `K` *distinct* digests per shard are retained, oldest-first eviction.
+//! By default every verified fragment is kept forever — overwrites of a
+//! shard map orphan the old snapshot's fragment, and
+//! [`FragmentStore::bytes_stored`] only grows.
+//! [`FragmentStore::with_retention`] bounds that: only the last `K`
+//! *distinct* roots per shard are retained, oldest-first eviction.
 //! `K ≥ 2` keeps the previous snapshot alive, so a concurrent reader that
 //! read the metadata register just before an overwrite still resolves its
 //! reference; readers chasing older (or evicted) references fall back to
-//! re-reading the metadata register, which names a live digest again.
-//! Re-putting a held digest refreshes its recency instead of double
+//! re-reading the metadata register, which names a live root again.
+//! Re-putting a held fragment refreshes its recency instead of double
 //! counting it.
 //!
 //! ## Cross-shard aliasing
 //!
-//! Content addressing makes digests *global*: two shards whose maps are
-//! byte-identical share one digest, so one physical blob can be live for
-//! several shards at once. Retention therefore tracks **holders** — the
-//! set of shards currently retaining a digest — and a shard's eviction
-//! only drops that shard's hold; the bytes (and the `bytes_stored`
-//! accounting) go away only when the *last* holder lets go. Recency
-//! refreshes on re-put likewise apply to the shards that actually hold
-//! the digest, looked up in the store — never to whatever shard tag the
-//! wire message claims, which a Byzantine writer controls.
+//! Commitment roots are *global*: two shards whose maps are
+//! byte-identical share one root, so one physical fragment can be live
+//! for several shards at once. Retention therefore tracks **holders** —
+//! the set of shards currently retaining an entry — and a shard's
+//! eviction only drops that shard's hold; the bytes (and the
+//! `bytes_stored` accounting) go away only when the *last* holder lets
+//! go. Recency refreshes on re-put likewise apply to the shards that
+//! actually hold the entry, looked up in the store — never to whatever
+//! shard tag the wire message claims, which a Byzantine writer controls.
 //!
-//! Coded fragments alias differently: overlapping shard windows put a
-//! replica at a *different window position* (= fragment index) per
-//! shard, so [`FragmentStore`] keys entries by `(root, index)` — each
-//! shard holds its own index of an aliased root — instead of sharing one
-//! entry per root (which would refuse the second shard's fragment and
-//! wedge its push short of the `k + t` quorum). Congruent shards with
-//! *identical* windows land on the same index and dedup through the
-//! holder set like aliased blobs.
+//! Overlapping shard windows put a replica at a *different window
+//! position* (= fragment index) per shard, so entries are keyed by
+//! `(root, index)` — each shard holds its own index of an aliased root —
+//! instead of sharing one entry per root (which would refuse the second
+//! shard's fragment and wedge its push short of the `k + t` quorum).
+//! Congruent shards with *identical* windows land on the same index and
+//! dedup through the holder set.
 //!
 //! The store itself admits any shard tag (it has no view of the
 //! deployment); bounding *which* shards may hold at all — so a forger
@@ -53,7 +55,7 @@
 //! the embedding server's job (`sbs-store`'s window guard refuses puts
 //! for shards the replica does not serve).
 
-use crate::digest::{digest_of, BulkDigest};
+use crate::digest::BulkDigest;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -61,22 +63,22 @@ use std::sync::Arc;
 /// wire messages, replica storage, and retransmission buffers.
 pub type SharedBytes = Arc<[u8]>;
 
-/// What [`BulkStore::put`] / [`FragmentStore::put`] did with an incoming
-/// payload.
+/// What [`FragmentStore::put`] did with an incoming fragment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PutOutcome {
     /// Verified and stored.
     Stored,
-    /// Already held (content addressing makes this equality, not
+    /// Already held (commitment keying makes this equality, not
     /// overwrite).
     AlreadyHeld,
-    /// The bytes do not hash to the announced digest (or the fragment
-    /// does not verify against the announced commitment root) — refused.
+    /// The fragment does not verify against the announced commitment
+    /// root (or conflicts with the index this shard already holds) —
+    /// refused.
     DigestMismatch,
 }
 
 impl PutOutcome {
-    /// True if the replica now holds the digest (either outcome that
+    /// True if the replica now holds the fragment (either outcome that
     /// warrants an acknowledgement).
     pub fn held(self) -> bool {
         !matches!(self, PutOutcome::DigestMismatch)
@@ -115,10 +117,8 @@ impl<K: Ord + Copy> Default for ShardRecency<K> {
     }
 }
 
-/// The retention core shared by [`BulkStore`] (whole blobs, keyed by
-/// content digest) and [`FragmentStore`] (erasure-coded fragments, keyed
-/// by `(root, fragment index)`): keyed entries with per-key **holder**
-/// sets and per-shard recency orders.
+/// The retention core behind [`FragmentStore`]: keyed entries with
+/// per-key **holder** sets and per-shard recency orders.
 ///
 /// Invariants:
 /// - key `x` appears in shard `s`'s recency order iff `s` is one of its
@@ -265,10 +265,6 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
         }
     }
 
-    fn get(&self, key: &K) -> Option<&E> {
-        self.entries.get(key).map(|h| &h.entry)
-    }
-
     /// Discards every entry (and its recency/byte accounting) while
     /// preserving the retention configuration — a transient data fault,
     /// not a reconfiguration. The recency sequence keeps advancing so
@@ -306,113 +302,6 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
     }
 }
 
-/// One replica's content-addressed blob storage (whole-copy mode).
-#[derive(Clone, Debug, Default)]
-pub struct BulkStore {
-    inner: RetainedStore<BulkDigest, SharedBytes>,
-}
-
-impl BulkStore {
-    /// An empty store that retains every verified blob forever.
-    pub fn new() -> Self {
-        BulkStore::default()
-    }
-
-    /// An empty store that retains only the last `retain` distinct
-    /// digests per shard, evicting oldest-first.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `retain == 0` (a replica that stores nothing could never
-    /// acknowledge a push).
-    pub fn with_retention(retain: usize) -> Self {
-        BulkStore {
-            inner: RetainedStore::with_retention(Some(retain)),
-        }
-    }
-
-    /// The per-shard retention bound, if one is set.
-    pub fn retention(&self) -> Option<usize> {
-        self.inner.retain
-    }
-
-    /// Verifies `bytes` against `digest` and stores them under it (tagged
-    /// with the owning `shard` for placement accounting). Under a
-    /// retention bound, storing a fresh digest may evict the shard's
-    /// oldest one; re-putting a held digest refreshes its recency at
-    /// every shard that holds it.
-    pub fn put(&mut self, shard: u32, digest: BulkDigest, bytes: SharedBytes) -> PutOutcome {
-        // Empty payloads are refused outright: no honest value serializes
-        // to zero bytes (a shard map is at least its length prefix), so
-        // an empty blob is only ever adversarial — and downstream serving
-        // paths may index into the payload.
-        if bytes.is_empty() || digest_of(&bytes) != digest {
-            return PutOutcome::DigestMismatch;
-        }
-        let len = bytes.len() as u64;
-        self.inner.insert_verified(shard, digest, len, || bytes)
-    }
-
-    /// The bytes stored under `digest`, if held.
-    pub fn get(&self, digest: &BulkDigest) -> Option<&[u8]> {
-        self.inner.get(digest).map(|b| b.as_ref())
-    }
-
-    /// The shared handle to the bytes stored under `digest`, if held —
-    /// cloning it shares the allocation (a reply costs a refcount bump).
-    pub fn get_shared(&self, digest: &BulkDigest) -> Option<SharedBytes> {
-        self.inner.get(digest).cloned()
-    }
-
-    /// True if `digest` is held.
-    pub fn holds(&self, digest: &BulkDigest) -> bool {
-        self.inner.entries.contains_key(digest)
-    }
-
-    /// Number of blobs held.
-    pub fn blob_count(&self) -> usize {
-        self.inner.entries.len()
-    }
-
-    /// Total payload bytes currently held (each physical blob counted
-    /// once, however many shards alias onto it). Without a retention
-    /// bound this only grows under overwrite churn (orphaned digests
-    /// accumulate); with one it plateaus at ≤ `retain` blobs per shard.
-    pub fn bytes_stored(&self) -> u64 {
-        self.inner.bytes_stored
-    }
-
-    /// The shards this replica holds at least one blob for.
-    pub fn shards_held(&self) -> BTreeSet<u32> {
-        self.inner.shards_held()
-    }
-
-    /// Discards every blob (transient data fault), preserving the
-    /// retention configuration.
-    pub fn wipe(&mut self) {
-        self.inner.wipe();
-    }
-
-    /// Drops `digest` for every holder. Returns whether it was held.
-    pub fn remove(&mut self, digest: &BulkDigest) -> bool {
-        self.inner.remove_key(digest)
-    }
-
-    /// Every `(holder shard, digest)` pair this replica retains, in
-    /// deterministic order — the raw material for anti-entropy digest
-    /// summaries.
-    pub fn holdings(&self) -> Vec<(u32, BulkDigest)> {
-        let mut out: Vec<(u32, BulkDigest)> = Vec::new();
-        for (digest, held) in &self.inner.entries {
-            for &shard in &held.holders {
-                out.push((shard, *digest));
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-}
-
 /// One verified erasure-coded fragment as stored on a replica: the
 /// fragment bytes plus everything needed to re-serve it verifiably — its
 /// index in the `m`-fragment dispersal and the Merkle path binding it to
@@ -430,12 +319,11 @@ pub struct StoredFragment {
 }
 
 /// One replica's erasure-coded fragment storage, keyed by
-/// `(commitment root, fragment index)` with [`BulkStore`]-style holder
-/// sets. Verification happens on the way in — [`FragmentStore::put`]
-/// replays the Merkle path — so the store only ever holds fragments that
-/// provably belong to their announced root; retention (holders, recency,
-/// eviction, byte accounting) is [`BulkStore`]'s, shared through one
-/// core.
+/// `(commitment root, fragment index)` with per-entry holder sets.
+/// Verification happens on the way in — [`FragmentStore::put`] replays
+/// the Merkle path — so the store only ever holds fragments that
+/// provably belong to their announced root; see the module docs for
+/// retention (holders, recency, eviction, byte accounting).
 ///
 /// Keying by `(root, index)` — not by root alone — is what keeps writes
 /// live across *shard windows that overlap*: a replica serving two shards
@@ -443,10 +331,10 @@ pub struct StoredFragment {
 /// disperse byte-identical payloads (one root — the cross-shard aliasing
 /// case), it legitimately holds a **different fragment index per shard**.
 /// Congruent shards (`shard ≡ shard' mod n`, identical windows) land on
-/// the *same* index instead and dedup through the holder set, exactly
-/// like aliased blobs. Per shard, though, a root still maps to exactly
+/// the *same* index instead and dedup through the holder set. Per shard,
+/// though, a root still maps to exactly
 /// one index: a re-put of a held index is acknowledged without storing
-/// (idempotence, like blob re-puts), while a **different** index for a
+/// (idempotence), while a **different** index for a
 /// shard that already holds one is refused — acknowledging it would
 /// certify holding a fragment this replica does not have at that window
 /// position, which is exactly what the `k + t` push quorum counts on (a
@@ -480,8 +368,8 @@ impl FragmentStore {
     /// `shard`. See the type docs for the keying and the same-shard
     /// index-conflict refusal.
     pub fn put(&mut self, shard: u32, root: BulkDigest, frag: StoredFragment) -> PutOutcome {
-        // Empty fragments are refused like empty blobs: an honest
-        // dispersal's fragments are never zero-length (the payload is at
+        // Empty fragments are refused outright: an honest dispersal's
+        // fragments are never zero-length (the payload is at
         // least its length prefix), and a Byzantine writer *can* commit
         // an empty leaf — which would otherwise be stored verified and
         // trip up serving paths that index into the bytes.
@@ -592,155 +480,171 @@ impl FragmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest_of;
 
-    fn blob(label: u8, len: usize) -> (BulkDigest, SharedBytes) {
+    /// A one-fragment dispersal (`k = m = 1`) of `len` bytes of `label`:
+    /// its root is the payload's content address, its proof is empty.
+    fn whole(label: u8, len: usize) -> (BulkDigest, StoredFragment) {
         let bytes: SharedBytes = vec![label; len].into();
-        (digest_of(&bytes), bytes)
+        (digest_of(&bytes), single(bytes))
+    }
+
+    fn single(bytes: SharedBytes) -> StoredFragment {
+        StoredFragment {
+            index: 0,
+            total: 1,
+            bytes,
+            proof: Vec::new(),
+        }
     }
 
     #[test]
     fn put_verifies_and_is_idempotent() {
-        let mut s = BulkStore::new();
+        let mut s = FragmentStore::new();
         let bytes: SharedBytes = b"shard map bytes".to_vec().into();
         let d = digest_of(&bytes);
-        assert_eq!(s.put(3, d, bytes.clone()), PutOutcome::Stored);
-        assert_eq!(s.put(3, d, bytes.clone()), PutOutcome::AlreadyHeld);
+        assert_eq!(s.put(3, d, single(bytes.clone())), PutOutcome::Stored);
+        assert_eq!(s.put(3, d, single(bytes.clone())), PutOutcome::AlreadyHeld);
         assert!(PutOutcome::AlreadyHeld.held());
-        assert_eq!(s.get(&d), Some(bytes.as_ref()));
+        assert_eq!(s.get(&d).map(|f| f.bytes.as_ref()), Some(bytes.as_ref()));
         assert!(s.holds(&d));
-        assert_eq!(s.blob_count(), 1);
+        assert_eq!(s.fragment_count(), 1);
         assert_eq!(s.bytes_stored(), bytes.len() as u64);
         assert_eq!(s.shards_held().into_iter().collect::<Vec<_>>(), vec![3]);
-        assert_eq!(s.retention(), None);
     }
 
     #[test]
-    fn fabricated_blobs_are_unstorable() {
-        let mut s = BulkStore::new();
+    fn fabricated_fragments_are_unstorable() {
+        let mut s = FragmentStore::new();
         let d = digest_of(b"the real bytes");
-        let out = s.put(0, d, b"not those bytes".to_vec().into());
+        let out = s.put(0, d, single(b"not those bytes".to_vec().into()));
         assert_eq!(out, PutOutcome::DigestMismatch);
         assert!(!out.held());
-        assert_eq!(s.blob_count(), 0);
-        assert_eq!(s.get(&d), None);
+        assert_eq!(s.fragment_count(), 0);
+        assert!(s.get(&d).is_none());
+        // Empty payloads are refused even when they verify.
+        let empty: SharedBytes = Vec::new().into();
+        let out = s.put(0, digest_of(&empty), single(empty));
+        assert_eq!(out, PutOutcome::DigestMismatch);
     }
 
     #[test]
-    fn get_shared_shares_the_allocation() {
-        let mut s = BulkStore::new();
-        let (d, bytes) = blob(7, 64);
-        s.put(0, d, bytes.clone());
-        let served = s.get_shared(&d).expect("held");
-        assert!(Arc::ptr_eq(&served, &bytes), "serving must not copy");
+    fn serving_shares_the_allocation() {
+        let mut s = FragmentStore::new();
+        let (d, f) = whole(7, 64);
+        let bytes = f.bytes.clone();
+        s.put(0, d, f);
+        let served = &s.get_for(0, &d).expect("held").bytes;
+        assert!(Arc::ptr_eq(served, &bytes), "serving must not copy");
     }
 
     #[test]
     fn retention_evicts_oldest_and_bytes_plateau() {
-        let mut s = BulkStore::with_retention(2);
-        let (d1, b1) = blob(1, 100);
-        let (d2, b2) = blob(2, 100);
-        let (d3, b3) = blob(3, 100);
-        s.put(0, d1, b1);
-        s.put(0, d2, b2);
+        let mut s = FragmentStore::with_retention(2);
+        let (d1, f1) = whole(1, 100);
+        let (d2, f2) = whole(2, 100);
+        let (d3, f3) = whole(3, 100);
+        s.put(0, d1, f1);
+        s.put(0, d2, f2);
         assert_eq!(s.bytes_stored(), 200);
-        // The previous digest survives an overwrite (K = 2)…
-        s.put(0, d3, b3);
-        assert!(!s.holds(&d1), "oldest digest must be evicted");
+        // The previous root survives an overwrite (K = 2)…
+        s.put(0, d3, f3);
+        assert!(!s.holds(&d1), "oldest root must be evicted");
         assert!(s.holds(&d2), "the previous snapshot stays resolvable");
         assert!(s.holds(&d3));
-        // …and total bytes plateau at K blobs per shard under churn.
+        // …and total bytes plateau at K fragments per shard under churn.
         for i in 4..40u8 {
-            let (d, b) = blob(i, 100);
-            s.put(0, d, b);
-            assert_eq!(s.bytes_stored(), 200, "bytes must plateau at K blobs");
-            assert_eq!(s.blob_count(), 2);
+            let (d, f) = whole(i, 100);
+            s.put(0, d, f);
+            assert_eq!(s.bytes_stored(), 200, "bytes must plateau at K entries");
+            assert_eq!(s.fragment_count(), 2);
         }
     }
 
     #[test]
     fn retention_is_per_shard() {
-        let mut s = BulkStore::with_retention(1);
-        let (d1, b1) = blob(1, 10);
-        let (d2, b2) = blob(2, 10);
-        s.put(0, d1, b1);
-        s.put(1, d2, b2);
+        let mut s = FragmentStore::with_retention(1);
+        let (d1, f1) = whole(1, 10);
+        let (d2, f2) = whole(2, 10);
+        s.put(0, d1, f1);
+        s.put(1, d2, f2);
         assert!(s.holds(&d1) && s.holds(&d2), "bounds apply per shard");
-        let (d3, b3) = blob(3, 10);
-        s.put(0, d3, b3);
+        let (d3, f3) = whole(3, 10);
+        s.put(0, d3, f3);
         assert!(!s.holds(&d1) && s.holds(&d2) && s.holds(&d3));
     }
 
     #[test]
     fn reput_refreshes_recency_instead_of_double_counting() {
-        let mut s = BulkStore::with_retention(2);
-        let (d1, b1) = blob(1, 10);
-        let (d2, b2) = blob(2, 10);
-        s.put(0, d1, b1.clone());
-        s.put(0, d2, b2);
+        let mut s = FragmentStore::with_retention(2);
+        let (d1, f1) = whole(1, 10);
+        let (d2, f2) = whole(2, 10);
+        s.put(0, d1, f1.clone());
+        s.put(0, d2, f2);
         // Re-put of d1: now d2 is the oldest.
-        assert_eq!(s.put(0, d1, b1), PutOutcome::AlreadyHeld);
+        assert_eq!(s.put(0, d1, f1), PutOutcome::AlreadyHeld);
         assert_eq!(s.bytes_stored(), 20, "re-put must not double count");
-        let (d3, b3) = blob(3, 10);
-        s.put(0, d3, b3);
-        assert!(s.holds(&d1), "refreshed digest must survive");
-        assert!(!s.holds(&d2), "stale digest is the eviction victim");
+        let (d3, f3) = whole(3, 10);
+        s.put(0, d3, f3);
+        assert!(s.holds(&d1), "refreshed root must survive");
+        assert!(!s.holds(&d2), "stale root is the eviction victim");
     }
 
     /// Regression (cross-shard aliasing): two shards storing
-    /// byte-identical maps share one digest; one shard's eviction must
+    /// byte-identical maps share one root; one shard's eviction must
     /// drop only its own hold, never the bytes the other shard still
     /// references — and the byte accounting must move exactly once, on
     /// the last drop.
     #[test]
-    fn aliased_digest_survives_one_shards_eviction() {
-        let mut s = BulkStore::with_retention(1);
-        let (d, b) = blob(9, 100);
-        assert_eq!(s.put(0, d, b.clone()), PutOutcome::Stored);
-        assert_eq!(s.put(1, d, b.clone()), PutOutcome::AlreadyHeld);
-        assert_eq!(s.bytes_stored(), 100, "one physical blob, two holders");
+    fn aliased_root_survives_one_shards_eviction() {
+        let mut s = FragmentStore::with_retention(1);
+        let (d, f) = whole(9, 100);
+        assert_eq!(s.put(0, d, f.clone()), PutOutcome::Stored);
+        assert_eq!(s.put(1, d, f.clone()), PutOutcome::AlreadyHeld);
+        assert_eq!(s.bytes_stored(), 100, "one physical fragment, two holders");
         assert_eq!(s.shards_held(), BTreeSet::from([0, 1]));
 
         // Shard 0 churns past its K=1 bound: only shard 0's hold drops.
-        let (d2, b2) = blob(10, 100);
-        s.put(0, d2, b2);
+        let (d2, f2) = whole(10, 100);
+        s.put(0, d2, f2);
         assert!(
             s.holds(&d),
-            "shard 1 still references the aliased digest — eviction by \
+            "shard 1 still references the aliased root — eviction by \
              shard 0 must not drop it"
         );
-        assert_eq!(s.get(&d), Some(b.as_ref()));
+        assert_eq!(s.get(&d), Some(&f));
         assert_eq!(s.bytes_stored(), 200);
         assert_eq!(s.shards_held(), BTreeSet::from([0, 1]));
 
         // Shard 1 churns too: now the last holder is gone and the bytes
         // (and their accounting) go with it — exactly once.
-        let (d3, b3) = blob(11, 100);
-        s.put(1, d3, b3);
-        assert!(!s.holds(&d), "last holder evicted: blob must drop");
+        let (d3, f3) = whole(11, 100);
+        s.put(1, d3, f3);
+        assert!(!s.holds(&d), "last holder evicted: the fragment must drop");
         assert_eq!(s.bytes_stored(), 200, "d2 + d3 remain, no underflow");
-        assert_eq!(s.blob_count(), 2);
+        assert_eq!(s.fragment_count(), 2);
     }
 
-    /// Regression (wire-tag trust in `touch`): a re-put of a held digest
+    /// Regression (wire-tag trust in `touch`): a re-put of a held root
     /// tagged with a *foreign* shard — which a Byzantine writer can send
     /// at will — must still refresh the recency of the shard(s) that
-    /// actually hold the digest, so an actively republished snapshot is
-    /// never the next eviction victim.
+    /// actually hold it, so an actively republished snapshot is never the
+    /// next eviction victim.
     #[test]
     fn reput_with_foreign_shard_tag_still_refreshes_stored_shard() {
-        let mut s = BulkStore::with_retention(2);
-        let (d1, b1) = blob(1, 10);
-        let (d2, b2) = blob(2, 10);
-        s.put(0, d1, b1.clone());
-        s.put(0, d2, b2);
+        let mut s = FragmentStore::with_retention(2);
+        let (d1, f1) = whole(1, 10);
+        let (d2, f2) = whole(2, 10);
+        s.put(0, d1, f1.clone());
+        s.put(0, d2, f2);
         // The republish arrives under a bogus shard tag (7). The stored
         // shard (0) must be looked up for the refresh regardless.
-        assert_eq!(s.put(7, d1, b1), PutOutcome::AlreadyHeld);
-        let (d3, b3) = blob(3, 10);
-        s.put(0, d3, b3);
+        assert_eq!(s.put(7, d1, f1), PutOutcome::AlreadyHeld);
+        let (d3, f3) = whole(3, 10);
+        s.put(0, d3, f3);
         assert!(
             s.holds(&d1),
-            "the actively republished digest must survive shard 0's eviction"
+            "the actively republished root must survive shard 0's eviction"
         );
         assert!(!s.holds(&d2), "d2 was shard 0's oldest after the refresh");
     }
@@ -748,7 +652,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "retention bound must be at least 1")]
     fn zero_retention_is_refused() {
-        let _ = BulkStore::with_retention(0);
+        let _ = FragmentStore::with_retention(0);
     }
 
     /// Wipe is a transient fault, not a reconfiguration: everything
@@ -756,23 +660,22 @@ mod tests {
     /// exactly like puts into a fresh store with the same bound.
     #[test]
     fn wipe_clears_state_but_keeps_retention() {
-        let mut s = BulkStore::with_retention(2);
-        let (d1, b1) = blob(1, 10);
-        let (d2, b2) = blob(2, 10);
-        s.put(0, d1, b1.clone());
-        s.put(1, d2, b2);
+        let mut s = FragmentStore::with_retention(2);
+        let (d1, f1) = whole(1, 10);
+        let (d2, f2) = whole(2, 10);
+        s.put(0, d1, f1.clone());
+        s.put(1, d2, f2);
         s.wipe();
-        assert_eq!(s.blob_count(), 0);
+        assert_eq!(s.fragment_count(), 0);
         assert_eq!(s.bytes_stored(), 0);
         assert!(!s.holds(&d1) && !s.holds(&d2));
-        assert_eq!(s.retention(), Some(2));
         assert!(s.holdings().is_empty());
         // Re-puts verify and evict against the preserved bound.
-        assert_eq!(s.put(0, d1, b1), PutOutcome::Stored);
+        assert_eq!(s.put(0, d1, f1), PutOutcome::Stored);
         for i in 10..14u8 {
-            let (d, b) = blob(i, 10);
-            s.put(0, d, b);
-            assert!(s.blob_count() <= 2);
+            let (d, f) = whole(i, 10);
+            s.put(0, d, f);
+            assert!(s.fragment_count() <= 2);
         }
     }
 
@@ -780,22 +683,22 @@ mod tests {
     /// later eviction sweep cannot trip over a dangling recency key.
     #[test]
     fn remove_drops_all_holders_and_their_recency() {
-        let mut s = BulkStore::with_retention(1);
-        let (d, b) = blob(5, 30);
-        s.put(0, d, b.clone());
-        s.put(1, d, b);
+        let mut s = FragmentStore::with_retention(1);
+        let (d, f) = whole(5, 30);
+        s.put(0, d, f.clone());
+        s.put(1, d, f);
         assert_eq!(s.holdings(), vec![(0, d), (1, d)]);
         assert!(s.remove(&d));
         assert!(!s.remove(&d), "second remove finds nothing");
         assert_eq!(s.bytes_stored(), 0);
         assert!(s.holdings().is_empty());
-        // Both shards churn on fresh digests without tripping recency
+        // Both shards churn on fresh roots without tripping recency
         // debris from the removed key.
         for i in 20..24u8 {
-            let (di, bi) = blob(i, 10);
-            s.put(u32::from(i % 2), di, bi);
+            let (di, fi) = whole(i, 10);
+            s.put(u32::from(i % 2), di, fi);
         }
-        assert_eq!(s.blob_count(), 2);
+        assert_eq!(s.fragment_count(), 2);
     }
 
     /// Regression (REVIEW of ISSUE 5, write liveness): a replica shared

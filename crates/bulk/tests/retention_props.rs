@@ -1,10 +1,10 @@
 //! Property-style retention checks for the aliasing-prone corner of the
-//! blob store: identical payloads put across *different* shards share
-//! one digest, so retention bookkeeping (holders, recency, eviction,
-//! byte accounting) must stay consistent under arbitrary interleavings
-//! of puts and evictions — the ISSUE 5 regression surface.
+//! fragment store: identical payloads put across *different* shards
+//! share one commitment root, so retention bookkeeping (holders,
+//! recency, eviction, byte accounting) must stay consistent under
+//! arbitrary interleavings of puts and evictions.
 
-use sbs_bulk::{digest_of, BulkDigest, BulkStore, FragmentStore, PutOutcome, SharedBytes};
+use sbs_bulk::{digest_of, BulkDigest, FragmentStore, PutOutcome, SharedBytes, StoredFragment};
 use sbs_sim::DetRng;
 use std::collections::BTreeMap;
 
@@ -19,32 +19,39 @@ fn pool() -> (Vec<SharedBytes>, Vec<BulkDigest>) {
     (payloads, digests)
 }
 
-/// Seeded loop over retention bounds 1..=3: whatever the interleaving,
-/// (1) every shard's most recently put digest stays resolvable — the
-/// cross-shard aliasing bug dropped exactly this when another shard
-/// evicted its hold on the shared digest; (2) `bytes_stored` equals the
-/// sum over *held* pool payloads, each counted once — so it can neither
-/// underflow nor double-count an aliased blob; (3) the distinct-digest
-/// count respects the global `shards × K` budget.
+/// Seeded loop over retention bounds 1..=3, on whole-copy (`k = m = 1`)
+/// dispersals whose root is the payload digest: whatever the
+/// interleaving, (1) every shard's most recently put root stays
+/// resolvable — the cross-shard aliasing bug dropped exactly this when
+/// another shard evicted its hold on the shared root; (2) `bytes_stored`
+/// equals the sum over *held* pool payloads, each counted once — so it
+/// can neither underflow nor double-count an aliased entry; (3) the
+/// distinct-root count respects the global `shards × K` budget.
 #[test]
 fn aliased_puts_across_shards_never_underflow_or_drop_live_digests() {
     let (payloads, digests) = pool();
     for retain in 1usize..=3 {
         for seed in 0..6u64 {
             let mut rng = DetRng::from_seed(0x000A_11A5 + ((retain as u64) << 8) + seed);
-            let mut store = BulkStore::with_retention(retain);
+            let mut store = FragmentStore::with_retention(retain);
             let mut last_put: BTreeMap<u32, usize> = BTreeMap::new();
             for step in 0..500 {
                 let shard = (rng.next_u64() % 4) as u32;
                 let idx = (rng.next_u64() % payloads.len() as u64) as usize;
-                let out = store.put(shard, digests[idx], payloads[idx].clone());
+                let whole = StoredFragment {
+                    index: 0,
+                    total: 1,
+                    bytes: payloads[idx].clone(),
+                    proof: Vec::new(),
+                };
+                let out = store.put(shard, digests[idx], whole);
                 assert!(out.held(), "verified puts always hold");
                 last_put.insert(shard, idx);
 
                 // (1) Most recent digest per shard is resolvable.
                 for (sh, &i) in &last_put {
                     assert_eq!(
-                        store.get(&digests[i]),
+                        store.get(&digests[i]).map(|f| f.bytes.as_ref()),
                         Some(payloads[i].as_ref()),
                         "retain={retain} seed={seed} step={step}: shard {sh}'s most \
                          recent digest must stay resolvable"
@@ -67,7 +74,7 @@ fn aliased_puts_across_shards_never_underflow_or_drop_live_digests() {
 
                 // (3) The global budget: at most K distinct digests per
                 // shard that ever put.
-                assert!(store.blob_count() <= 4 * retain);
+                assert!(store.fragment_count() <= 4 * retain);
             }
         }
     }

@@ -90,12 +90,11 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// Message kind bytes (payload byte 1).
+// Message kind bytes (payload byte 1). Kinds 1, 2 and 4 carried the
+// retired whole-blob messages; they decode as `BadKind` and are not
+// reused.
 const KIND_BATCH: u8 = 0;
-const KIND_BULK_PUT: u8 = 1;
-const KIND_BULK_PUT_ACK: u8 = 2;
 const KIND_BULK_GET: u8 = 3;
-const KIND_BULK_GET_ACK: u8 = 4;
 const KIND_FRAG_PUT: u8 = 5;
 const KIND_FRAG_PUT_ACK: u8 = 6;
 const KIND_FRAG_GET_ACK: u8 = 7;
@@ -218,51 +217,11 @@ impl WireCodec {
                 }
                 Ok(StoreMsg::Batch(batch))
             }
-            KIND_BULK_PUT => {
-                let shard = take_u32(buf)?;
-                let digest = get_digest(buf)?;
-                let len = take_u64(buf)?;
-                if buf.len() as u64 != len {
-                    return Err(DecodeError::Malformed("bulk byte length"));
-                }
-                let bytes: SharedBytes = Arc::from(*buf);
-                *buf = &[];
-                Ok(StoreMsg::BulkPut {
-                    shard,
-                    digest,
-                    bytes,
-                })
-            }
-            KIND_BULK_PUT_ACK => {
-                let shard = take_u32(buf)?;
-                let digest = get_digest(buf)?;
-                Ok(StoreMsg::BulkPutAck { shard, digest })
-            }
             KIND_BULK_GET => {
                 let shard = take_u32(buf)?;
                 let digest = get_digest(buf)?;
                 let tag = take_u64(buf)?;
                 Ok(StoreMsg::BulkGet { shard, digest, tag })
-            }
-            KIND_BULK_GET_ACK => {
-                let shard = take_u32(buf)?;
-                let digest = get_digest(buf)?;
-                let tag = take_u64(buf)?;
-                let bytes = match take_u8(buf)? {
-                    0 => None,
-                    1 => {
-                        let bytes: SharedBytes = Arc::from(*buf);
-                        *buf = &[];
-                        Some(bytes)
-                    }
-                    _ => return Err(DecodeError::Malformed("option flag")),
-                };
-                Ok(StoreMsg::BulkGetAck {
-                    shard,
-                    digest,
-                    tag,
-                    bytes,
-                })
             }
             KIND_FRAG_PUT => {
                 let shard = take_u32(buf)?;
@@ -302,28 +261,7 @@ impl WireCodec {
                 let shard = take_u32(buf)?;
                 let root = get_digest(buf)?;
                 let tag = take_u64(buf)?;
-                let frag = match take_u8(buf)? {
-                    0 => None,
-                    // flag = 1 + proof length: the fragment bytes run to
-                    // the frame end minus the proof's fixed-size tail, so
-                    // neither needs its own length field.
-                    flag => {
-                        let proof_len = (flag - 1) as usize;
-                        let index = take_u32(buf)?;
-                        let proof_bytes = proof_len as u64 * BulkDigest::WIRE_SIZE;
-                        let Some(frag_len) = (buf.len() as u64).checked_sub(proof_bytes) else {
-                            return Err(DecodeError::Truncated);
-                        };
-                        let (frag, tail) = buf.split_at(frag_len as usize);
-                        let bytes: SharedBytes = Arc::from(frag);
-                        *buf = tail;
-                        let mut proof = Vec::new();
-                        for _ in 0..proof_len {
-                            proof.push(get_digest(buf)?);
-                        }
-                        Some((index, bytes, proof))
-                    }
-                };
+                let frag = get_frag(buf)?;
                 Ok(StoreMsg::FragGetAck {
                     shard,
                     root,
@@ -339,44 +277,10 @@ impl WireCodec {
             KIND_REPAIR_REPLY => {
                 let shard = take_u32(buf)?;
                 let digest = get_digest(buf)?;
-                let bytes = match take_u8(buf)? {
-                    0 => None,
-                    1 => {
-                        let len = take_u64(buf)?;
-                        if (buf.len() as u64) < len {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let (blob, rest) = buf.split_at(len as usize);
-                        let blob: SharedBytes = Arc::from(blob);
-                        *buf = rest;
-                        Some(blob)
-                    }
-                    _ => return Err(DecodeError::Malformed("option flag")),
-                };
-                let frag = match take_u8(buf)? {
-                    0 => None,
-                    1 => {
-                        let index = take_u32(buf)?;
-                        let frag_len = take_u32(buf)? as usize;
-                        let proof_len = take_u32(buf)? as usize;
-                        if buf.len() < frag_len {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let (frag, rest) = buf.split_at(frag_len);
-                        let frag: SharedBytes = Arc::from(frag);
-                        *buf = rest;
-                        let mut proof = Vec::new();
-                        for _ in 0..proof_len {
-                            proof.push(get_digest(buf)?);
-                        }
-                        Some((index, frag, proof))
-                    }
-                    _ => return Err(DecodeError::Malformed("option flag")),
-                };
+                let frag = get_frag(buf)?;
                 Ok(StoreMsg::RepairReply {
                     shard,
                     digest,
-                    bytes,
                     frag,
                 })
             }
@@ -531,10 +435,7 @@ impl WireCodec {
 fn kind_of<P>(msg: &StoreMsg<P>) -> u8 {
     match msg {
         StoreMsg::Batch(_) => KIND_BATCH,
-        StoreMsg::BulkPut { .. } => KIND_BULK_PUT,
-        StoreMsg::BulkPutAck { .. } => KIND_BULK_PUT_ACK,
         StoreMsg::BulkGet { .. } => KIND_BULK_GET,
-        StoreMsg::BulkGetAck { .. } => KIND_BULK_GET_ACK,
         StoreMsg::FragPut { .. } => KIND_FRAG_PUT,
         StoreMsg::FragPutAck { .. } => KIND_FRAG_PUT_ACK,
         StoreMsg::FragGetAck { .. } => KIND_FRAG_GET_ACK,
@@ -551,41 +452,10 @@ fn put_body<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &StoreWire<V>) {
                 put_reg(out, m);
             }
         }
-        StoreMsg::BulkPut {
-            shard,
-            digest,
-            bytes,
-        } => {
-            put_u32(out, *shard);
-            put_digest(out, digest);
-            put_u64(out, bytes.len() as u64);
-            out.extend_from_slice(bytes);
-        }
-        StoreMsg::BulkPutAck { shard, digest } => {
-            put_u32(out, *shard);
-            put_digest(out, digest);
-        }
         StoreMsg::BulkGet { shard, digest, tag } => {
             put_u32(out, *shard);
             put_digest(out, digest);
             put_u64(out, *tag);
-        }
-        StoreMsg::BulkGetAck {
-            shard,
-            digest,
-            tag,
-            bytes,
-        } => {
-            put_u32(out, *shard);
-            put_digest(out, digest);
-            put_u64(out, *tag);
-            match bytes {
-                None => out.push(0),
-                Some(b) => {
-                    out.push(1);
-                    out.extend_from_slice(b);
-                }
-            }
         }
         StoreMsg::FragPut {
             shard,
@@ -619,21 +489,7 @@ fn put_body<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &StoreWire<V>) {
             put_u32(out, *shard);
             put_digest(out, root);
             put_u64(out, *tag);
-            match frag {
-                None => out.push(0),
-                Some((index, bytes, proof)) => {
-                    // Merkle paths are ≤ ⌈log2(replicas)⌉ long (≤ 8 for
-                    // any real fleet), so the path length rides in the
-                    // option flag and the fragment runs to the frame end.
-                    assert!(proof.len() <= 254, "merkle proof too long for the wire");
-                    out.push(1 + proof.len() as u8);
-                    put_u32(out, *index);
-                    out.extend_from_slice(bytes);
-                    for d in proof {
-                        put_digest(out, d);
-                    }
-                }
-            }
+            put_frag(out, frag);
         }
         StoreMsg::RepairRequest { shard, digest } => {
             put_u32(out, *shard);
@@ -642,34 +498,11 @@ fn put_body<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &StoreWire<V>) {
         StoreMsg::RepairReply {
             shard,
             digest,
-            bytes,
             frag,
         } => {
             put_u32(out, *shard);
             put_digest(out, digest);
-            // Both planes can ride the same frame shape, so each option
-            // carries explicit lengths instead of running to frame end.
-            match bytes {
-                None => out.push(0),
-                Some(b) => {
-                    out.push(1);
-                    put_u64(out, b.len() as u64);
-                    out.extend_from_slice(b);
-                }
-            }
-            match frag {
-                None => out.push(0),
-                Some((index, b, proof)) => {
-                    out.push(1);
-                    put_u32(out, *index);
-                    put_u32(out, b.len() as u32);
-                    put_u32(out, proof.len() as u32);
-                    out.extend_from_slice(b);
-                    for d in proof {
-                        put_digest(out, d);
-                    }
-                }
-            }
+            put_frag(out, frag);
         }
         StoreMsg::DigestSummary { entries } => {
             put_u32(out, entries.len() as u32);
@@ -755,6 +588,51 @@ fn put_payload<V: Payload + BulkCodec>(out: &mut Vec<u8>, p: &StorePayload<V>) {
             }
         }
     }
+}
+
+/// A served fragment: `(index, bytes, Merkle proof)`.
+type Frag = (u32, SharedBytes, Vec<BulkDigest>);
+
+/// The fragment option that ends both fragment replies. Merkle paths are
+/// ≤ ⌈log2(replicas)⌉ long (≤ 8 for any real fleet), so the path length
+/// rides in the option flag (`1 + proof length`; 0 is `None`) and the
+/// fragment runs to the frame end minus the proof's fixed-size tail —
+/// neither needs its own length field.
+fn put_frag(out: &mut Vec<u8>, frag: &Option<Frag>) {
+    match frag {
+        None => out.push(0),
+        Some((index, bytes, proof)) => {
+            assert!(proof.len() <= 254, "merkle proof too long for the wire");
+            out.push(1 + proof.len() as u8);
+            put_u32(out, *index);
+            out.extend_from_slice(bytes);
+            for d in proof {
+                put_digest(out, d);
+            }
+        }
+    }
+}
+
+/// Decodes [`put_frag`]'s layout; it consumes the rest of the frame.
+fn get_frag(buf: &mut &[u8]) -> Result<Option<Frag>, DecodeError> {
+    let flag = take_u8(buf)?;
+    if flag == 0 {
+        return Ok(None);
+    }
+    let proof_len = (flag - 1) as usize;
+    let index = take_u32(buf)?;
+    let proof_bytes = proof_len as u64 * BulkDigest::WIRE_SIZE;
+    let Some(frag_len) = (buf.len() as u64).checked_sub(proof_bytes) else {
+        return Err(DecodeError::Truncated);
+    };
+    let (frag, tail) = buf.split_at(frag_len as usize);
+    let bytes: SharedBytes = Arc::from(frag);
+    *buf = tail;
+    let mut proof = Vec::new();
+    for _ in 0..proof_len {
+        proof.push(get_digest(buf)?);
+    }
+    Ok(Some((index, bytes, proof)))
 }
 
 fn put_digest(out: &mut Vec<u8>, d: &BulkDigest) {

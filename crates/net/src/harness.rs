@@ -385,7 +385,7 @@ impl<V: Payload + BulkCodec + Send + Sync> NetStoreSystem<V> {
         self.reshard.is_some()
     }
 
-    /// Wipes server `i`'s blob **and** fragment stores — the data-loss
+    /// Wipes server `i`'s fragment store — the data-loss
     /// fault the self-healing plane repairs, here injected into a node
     /// running on a real socket runtime. Register metadata survives.
     /// Supported for *correct* servers only (a Byzantine slot hosts a

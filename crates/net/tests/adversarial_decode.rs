@@ -44,16 +44,21 @@ fn corpus() -> Vec<Vec<u8>> {
                 helping: Some(payload(4)),
             },
         ]),
-        StoreMsg::BulkPut {
-            shard: 1,
-            digest: BulkDigest([1, 2, 3, 4]),
-            bytes: SharedBytes::from(&b"0123456789abcdef"[..]),
-        },
-        StoreMsg::BulkGetAck {
+        StoreMsg::BulkGet {
             shard: 1,
             digest: BulkDigest([1, 2, 3, 4]),
             tag: 9,
-            bytes: Some(SharedBytes::from(&b"0123456789abcdef"[..])),
+        },
+        StoreMsg::FragGetAck {
+            shard: 1,
+            root: BulkDigest([1, 2, 3, 4]),
+            tag: 9,
+            frag: None,
+        },
+        StoreMsg::FragPutAck {
+            shard: 1,
+            root: BulkDigest([5, 6, 7, 8]),
+            index: 2,
         },
         StoreMsg::FragPut {
             shard: 1,
@@ -91,13 +96,11 @@ fn corpus() -> Vec<Vec<u8>> {
         StoreMsg::RepairReply {
             shard: 1,
             digest: BulkDigest([1, 2, 3, 4]),
-            bytes: Some(SharedBytes::from(&b"0123456789abcdef"[..])),
             frag: None,
         },
         StoreMsg::RepairReply {
             shard: 1,
             digest: BulkDigest([5, 6, 7, 8]),
-            bytes: None,
             frag: Some((
                 2,
                 SharedBytes::from(&b"frag"[..]),
@@ -243,12 +246,52 @@ fn unknown_kind_is_refused() {
     ));
 }
 
+/// The retired whole-blob kinds (1 `BULK_PUT`, 2 `BULK_PUT_ACK`, 4
+/// `BULK_GET_ACK`) are unknown to the codec: a frame carrying one —
+/// empty, in its old body layout, or noise — is a `BadKind` error, never
+/// a panic and never a decode as some other message.
+#[test]
+fn retired_whole_blob_kinds_are_refused() {
+    let c = codec();
+    let mut rng = DetRng::derive(0xBADBAD, 2);
+    // Old body layouts: shard (4) + digest (32), then a length-prefixed
+    // blob (kind 1), nothing (kind 2), or a tag and an option flag
+    // with the blob running to the frame end (kind 4).
+    let head: Vec<u8> = [1u32.to_le_bytes().to_vec(), vec![0xAB; 32]].concat();
+    let blob = b"0123456789abcdef";
+    let old_bodies: [(u8, Vec<u8>); 3] = [
+        (
+            1,
+            [&head[..], &(blob.len() as u64).to_le_bytes(), blob].concat(),
+        ),
+        (2, head.clone()),
+        (4, [&head[..], &9u64.to_le_bytes(), &[1], blob].concat()),
+    ];
+    for (kind, old) in old_bodies {
+        let mut bodies = vec![Vec::new(), old];
+        bodies.extend((0..50).map(|_| {
+            let len = rng.range_inclusive(0, 96) as usize;
+            (0..len).map(|_| rng.next_u32() as u8).collect::<Vec<u8>>()
+        }));
+        for body in bodies {
+            let mut frame = ((2 + body.len()) as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&[sbs_net::WIRE_VERSION, kind]);
+            frame.extend_from_slice(&body);
+            assert!(
+                matches!(c.decode_frame::<u64>(&frame), Err(DecodeError::BadKind(k)) if k == kind),
+                "retired kind {kind} must be refused"
+            );
+        }
+    }
+}
+
 #[test]
 fn trailing_bytes_inside_the_payload_are_refused() {
     let c = codec();
-    let msg: StoreWire<u64> = StoreMsg::BulkPutAck {
+    let msg: StoreWire<u64> = StoreMsg::FragPutAck {
         shard: 0,
-        digest: BulkDigest([1, 2, 3, 4]),
+        root: BulkDigest([1, 2, 3, 4]),
+        index: 1,
     };
     let mut frame = c.encode(&msg);
     // Grow the announced payload by one junk byte: a fixed-size body

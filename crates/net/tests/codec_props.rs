@@ -125,29 +125,13 @@ fn register_batches_round_trip() {
 }
 
 #[test]
-fn bulk_plane_round_trips() {
+fn fetch_requests_round_trip() {
     let mut rng = DetRng::derive(0xC0DEC, 2);
     for _ in 0..CASES {
-        round_trip(&StoreMsg::BulkPut {
-            shard: rng.next_u32() % 16,
-            digest: digest(&mut rng),
-            bytes: bytes(&mut rng, 512),
-        });
-        round_trip(&StoreMsg::BulkPutAck {
-            shard: rng.next_u32() % 16,
-            digest: digest(&mut rng),
-        });
         round_trip(&StoreMsg::BulkGet {
             shard: rng.next_u32() % 16,
             digest: digest(&mut rng),
             tag: rng.next_u64(),
-        });
-        let answered = rng.chance(0.5);
-        round_trip(&StoreMsg::BulkGetAck {
-            shard: rng.next_u32() % 16,
-            digest: digest(&mut rng),
-            tag: rng.next_u64(),
-            bytes: answered.then(|| bytes(&mut rng, 512)),
         });
     }
 }
@@ -196,13 +180,11 @@ fn repair_plane_round_trips() {
             shard: rng.next_u32() % 16,
             digest: digest(&mut rng),
         });
-        let blob = rng.chance(0.5);
-        let coded = rng.chance(0.5);
+        let held = rng.chance(0.5);
         round_trip(&StoreMsg::RepairReply {
             shard: rng.next_u32() % 16,
             digest: digest(&mut rng),
-            bytes: blob.then(|| bytes(&mut rng, 512)),
-            frag: coded.then(|| {
+            frag: held.then(|| {
                 (
                     rng.next_u32() % 9,
                     bytes(&mut rng, 256),
@@ -222,20 +204,9 @@ fn repair_plane_round_trips() {
 
 #[test]
 fn zero_length_bodies_round_trip() {
-    // The degenerate shapes: empty batch, empty blob, empty fragment
-    // with an empty proof, unanswered gets.
+    // The degenerate shapes: empty batch, empty fragment with an empty
+    // proof, served empty fragments, unanswered gets.
     round_trip(&StoreMsg::Batch(Vec::new()));
-    round_trip(&StoreMsg::BulkPut {
-        shard: 0,
-        digest: BulkDigest([0; 4]),
-        bytes: SharedBytes::from(&[][..]),
-    });
-    round_trip(&StoreMsg::BulkGetAck {
-        shard: 0,
-        digest: BulkDigest([0; 4]),
-        tag: 0,
-        bytes: None,
-    });
     round_trip(&StoreMsg::FragPut {
         shard: 0,
         root: BulkDigest([0; 4]),
@@ -250,10 +221,15 @@ fn zero_length_bodies_round_trip() {
         tag: 0,
         frag: None,
     });
+    round_trip(&StoreMsg::FragGetAck {
+        shard: 0,
+        root: BulkDigest([0; 4]),
+        tag: 0,
+        frag: Some((0, SharedBytes::from(&[][..]), Vec::new())),
+    });
     round_trip(&StoreMsg::RepairReply {
         shard: 0,
         digest: BulkDigest([0; 4]),
-        bytes: None,
         frag: None,
     });
     round_trip(&StoreMsg::DigestSummary {

@@ -177,8 +177,8 @@ fn live_reshard_on_sockets_matches_static_sim_run() {
 
 #[test]
 fn bulk_plane_survives_the_wire() {
-    // The content-addressed bulk plane exercises BULK_PUT / BULK_GET
-    // frames (variable-length blob bodies) over real sockets.
+    // Whole copies (the k = 1 dispersal) exercise FRAG_PUT / BULK_GET /
+    // FRAG_GET_ACK frames carrying entire snapshots over real sockets.
     let builder = StoreBuilder::asynchronous(1)
         .bulk()
         .shards(2)

@@ -7,7 +7,7 @@ use crate::msg::{StoreMsg, StoreOut};
 use crate::node::{DataPlane, StoreClientNode, StorePayload, StoreServerNode, StoreWire};
 use crate::router::{KeyRouter, ReshardPlan, RoutingTable};
 use crate::val::StoreVal;
-use sbs_bulk::{data_replica_count, BulkCodec, BulkRef, BulkStore, FragmentStore};
+use sbs_bulk::{data_replica_count, BulkCodec, BulkRef, FragmentStore};
 use sbs_check::{
     atomic_stabilization_point, check_linearizable, History, InitialState, OpKind, OpRecord,
 };
@@ -99,8 +99,9 @@ impl StoreConfig {
 /// to deploy more servers than the minimum. Cross-knob consistency is
 /// validated when the deployment is built (or when
 /// [`StoreBuilder::config`] snapshots it): the resilience bound for the
-/// mode, a synchronous link bound that dominates the delay model, bulk
-/// replication that fits the fleet, and well-formed Byzantine slots.
+/// mode, a synchronous link bound that dominates the delay model, a
+/// bulk window that fits the fleet and the `k + t` push quorum, and
+/// well-formed Byzantine slots.
 #[derive(Clone, Debug)]
 pub struct StoreBuilder {
     n: usize,
@@ -198,26 +199,23 @@ impl StoreBuilder {
         self
     }
 
-    /// Switches the payload to the content-addressed **bulk data plane**
-    /// with the canonical `2t + 1` data replicas per shard (the
-    /// Cachin–Dobre–Vukolić bound); the metadata quorum then carries only
-    /// fixed-size references. The default remains [`DataPlane::Full`] —
-    /// full replication, the paper's original scheme. Explicitly selects
-    /// *whole copies*: calling this after [`StoreBuilder::bulk_coded`]
-    /// switches back to full-copy replication.
-    pub fn bulk(mut self) -> Self {
-        self.plane = DataPlane::Full;
-        let r = data_replica_count(self.t);
-        self.data_replicas(r)
+    /// Switches the payload to the **bulk data plane** with whole copies
+    /// on the data replicas — exactly [`StoreBuilder::bulk_coded`]`(1)`,
+    /// the `k = 1` dispersal whose every fragment is the whole payload.
+    /// The window is the canonical `2t + 1` data replicas per shard (the
+    /// Cachin–Dobre–Vukolić bound) unless [`StoreBuilder::data_replicas`]
+    /// chose another; the metadata quorum then carries only fixed-size
+    /// references. The default remains [`DataPlane::Full`] — full
+    /// replication, the paper's original scheme.
+    pub fn bulk(self) -> Self {
+        self.bulk_coded(1)
     }
 
-    /// Sets the bulk-plane replication factor, switching to the
-    /// whole-copy plane unless coded mode was already selected —
-    /// `.data_replicas(m).bulk_coded(k)` and
-    /// `.bulk_coded(k).data_replicas(m)` configure the same deployment,
-    /// so the documented AVID overprovisioning recipe cannot silently
-    /// lose its coding by call order (an undersized window still fails
-    /// the `k + t ≤ replicas` build-time validation).
+    /// Sets the bulk-plane window to `replicas` data replicas per shard,
+    /// keeping the reconstruction threshold `k` already chosen (whole
+    /// copies, `k = 1`, when none was) — so `.data_replicas(m)` and
+    /// [`StoreBuilder::bulk_coded`] commute. The `k + t ≤ replicas` rule
+    /// is validated at build time.
     ///
     /// # Panics
     ///
@@ -228,22 +226,19 @@ impl StoreBuilder {
             "replication factor {replicas} out of range for n={}",
             self.n
         );
-        self.plane = match self.plane {
-            DataPlane::Coded { k, .. } => DataPlane::Coded { replicas, k },
-            DataPlane::Full | DataPlane::Bulk { .. } => DataPlane::Bulk { replicas },
-        };
+        let k = self.plane.coding().map_or(1, |(k, _)| k);
+        self.plane = DataPlane::Coded { replicas, k };
         self
     }
 
-    /// Switches the payload to the **erasure-coded bulk plane**
-    /// (AVID-style dispersal): the same replica window as
-    /// [`StoreBuilder::bulk`] — `2t + 1` by default, or whatever an
-    /// earlier [`StoreBuilder::data_replicas`] selected — but each
-    /// replica stores only **one `k`-of-`m` fragment** (~`1/k` of the
+    /// Switches the payload to the **bulk data plane** with
+    /// erasure-coded dispersal (AVID-style): each replica of the window
+    /// — `2t + 1` by default, or whatever [`StoreBuilder::data_replicas`]
+    /// selected — stores only **one `k`-of-`m` fragment** (~`1/k` of the
     /// payload), verified against a Merkle commitment whose root rides
     /// the metadata quorum. Pushes wait for `k + t` verified
     /// acknowledgements; reads reconstruct from any `k` verified
-    /// fragments.
+    /// fragments. `k = 1` is [`StoreBuilder::bulk`].
     ///
     /// Cross-knob consistency (`k ≥ 1`, `k + t ≤ replicas` — reads must
     /// stay live with `t` Byzantine replicas garbling their fragments)
@@ -258,10 +253,10 @@ impl StoreBuilder {
     /// `.data_replicas(3 * t + 1).bulk_coded(t + 1)` restores write
     /// liveness from honest acks alone (the classical AVID shape).
     pub fn bulk_coded(mut self, k: usize) -> Self {
-        let replicas = match self.plane {
-            DataPlane::Bulk { replicas } | DataPlane::Coded { replicas, .. } => replicas,
-            DataPlane::Full => data_replica_count(self.t),
-        };
+        let replicas = self
+            .plane
+            .coding()
+            .map_or(data_replica_count(self.t), |(_, m)| m);
         self.plane = DataPlane::Coded { replicas, k };
         self
     }
@@ -350,12 +345,12 @@ impl StoreBuilder {
         self
     }
 
-    /// Bounds every data replica's blob store to the last `retain`
-    /// distinct digests per shard (retain-last-K GC): overwrite churn
+    /// Bounds every data replica's fragment store to the last `retain`
+    /// distinct roots per shard (retain-last-K GC): overwrite churn
     /// then plateaus instead of accumulating orphaned snapshots.
     /// `retain ≥ 2` keeps the previous snapshot resolvable for concurrent
     /// readers; readers chasing older references fall back to a metadata
-    /// re-read. Only meaningful together with [`StoreBuilder::bulk`].
+    /// re-read. Only meaningful on the bulk plane.
     ///
     /// # Panics
     ///
@@ -370,7 +365,7 @@ impl StoreBuilder {
     /// `period`: every data replica then (a) pulls missing or corrupt
     /// entries from its window peers the moment a serve detects them
     /// (proactive repair — no writer involvement), (b) re-checks the
-    /// digest / Merkle path of everything it serves, and (c) gossips a
+    /// Merkle path of everything it serves, and (c) gossips a
     /// bounded rotating digest summary to one peer per period, pulling
     /// whatever it should hold but does not — so a replica whose data
     /// stores were wiped mid-run converges back to the committed state.
@@ -439,7 +434,8 @@ impl StoreBuilder {
     /// Panics on any inconsistency: the mode's resilience bound
     /// (`n ≥ 8t + 1` / `n ≥ 3t + 1`), a synchronous link bound that the
     /// delay model exceeds (or an unbounded delay model in synchronous
-    /// mode), a bulk replication factor outside `1..=n`, a Byzantine index
+    /// mode), a bulk window outside `1..=n` or too small for the `k + t`
+    /// push quorum, a Byzantine index
     /// `≥ n`, a duplicated Byzantine index, or more than `t` Byzantine
     /// slots.
     fn register_config(&self) -> RegisterConfig {
@@ -460,20 +456,18 @@ impl StoreBuilder {
                 RegisterConfig::synchronous(self.n, self.t, link_bound)
             }
         };
-        if let DataPlane::Bulk { replicas } | DataPlane::Coded { replicas, .. } = self.plane {
+        if let Some((k, replicas)) = self.plane.coding() {
             assert!(
                 (1..=self.n).contains(&replicas),
                 "bulk replication factor {replicas} out of range for n={}",
                 self.n
             );
-        }
-        if let DataPlane::Coded { replicas, k } = self.plane {
             assert!(k >= 1, "coded mode needs at least one fragment to read");
             assert!(
                 k + self.t <= replicas,
                 "coded reconstruction threshold k={k} too high: k + t must fit within the \
-                 {replicas}-replica window, or t={} Byzantine replicas garbling their \
-                 fragments could starve every read",
+                 {replicas}-replica window, or t={} Byzantine replicas could starve every \
+                 push (k + t acks) and every read (k verified fragments)",
                 self.t
             );
             // Fragment indices are GF(2⁸) field points: the Reed–Solomon
@@ -585,47 +579,17 @@ impl StoreBuilder {
         }
         let initial: StorePayload<V> =
             SeqVal::new(RingSeq::zero(self.wsn_modulus), StoreVal::empty());
-        // The admission guard every server gets: its fleet slot, the
-        // deployment's shard count, and the plane's window shape — so
-        // wire-supplied shard tags, fragment totals, and fragment
-        // indices are checked against the deployment instead of trusted.
-        let (guard_replicas, guard_coded) = match self.plane {
-            DataPlane::Full => (0, false),
-            DataPlane::Bulk { replicas } => (replicas, false),
-            DataPlane::Coded { replicas, .. } => (replicas, true),
-        };
-        let heal_k = match self.plane {
-            DataPlane::Coded { k, .. } => k,
-            DataPlane::Full | DataPlane::Bulk { .. } => 1,
-        };
         let mut byz_set = BTreeSet::new();
         for (i, &s) in servers.iter().enumerate() {
-            match self.byz.iter().find(|(bi, _)| *bi == i) {
-                Some((_, strat)) => {
+            match self.byz_strategy(i) {
+                Some(strat) => {
                     byz_set.insert(i);
-                    let mut node =
-                        StoreServerNode::new(ByzServerNode::<StorePayload<V>, StoreOut<V>>::new(
-                            strat.clone(),
-                            initial.clone(),
-                        ))
-                        .bulk_guard(i, self.n, self.shards, guard_replicas, guard_coded)
-                        .bulk_retention(self.bulk_retain)
-                        .byzantine_bulk();
-                    if let Some(period) = self.anti_entropy {
-                        node = node.self_healing(servers.clone(), heal_k, period);
-                    }
-                    sim.add_node_at(s, node)
+                    let inner = ByzServerNode::new(strat.clone(), initial.clone());
+                    sim.add_node_at(s, self.server_node(i, inner, &servers).byzantine_bulk())
                 }
                 None => {
-                    let mut node = StoreServerNode::new(
-                        ServerNode::<StorePayload<V>, StoreOut<V>>::new(initial.clone()),
-                    )
-                    .bulk_guard(i, self.n, self.shards, guard_replicas, guard_coded)
-                    .bulk_retention(self.bulk_retain);
-                    if let Some(period) = self.anti_entropy {
-                        node = node.self_healing(servers.clone(), heal_k, period);
-                    }
-                    sim.add_node_at(s, node)
+                    let inner = ServerNode::new(initial.clone());
+                    sim.add_node_at(s, self.server_node(i, inner, &servers))
                 }
             }
         }
@@ -689,11 +653,6 @@ impl StoreBuilder {
         let servers: Vec<ProcessId> = (0..self.n).map(|i| ProcessId(base + i as u32)).collect();
         let initial: StorePayload<V> =
             SeqVal::new(RingSeq::zero(self.wsn_modulus), StoreVal::empty());
-        let (guard_replicas, guard_coded) = match self.plane {
-            DataPlane::Full => (0, false),
-            DataPlane::Bulk { replicas } => (replicas, false),
-            DataPlane::Coded { replicas, .. } => (replicas, true),
-        };
         let mut nodes: Vec<Box<dyn Node<Msg = StoreWire<V>, Out = StoreOut<V>> + Send>> =
             Vec::with_capacity(clients.len() + servers.len());
         for (i, _) in clients.iter().enumerate() {
@@ -716,36 +675,17 @@ impl StoreBuilder {
                 .adaptive_batch(self.adaptive_batch),
             ));
         }
-        let heal_k = match self.plane {
-            DataPlane::Coded { k, .. } => k,
-            DataPlane::Full | DataPlane::Bulk { .. } => 1,
-        };
         for i in 0..self.n {
-            match self.byz.iter().find(|(bi, _)| *bi == i) {
-                Some((_, strat)) => {
-                    let mut node =
-                        StoreServerNode::new(ByzServerNode::<StorePayload<V>, StoreOut<V>>::new(
-                            strat.clone(),
-                            initial.clone(),
-                        ))
-                        .bulk_guard(i, self.n, self.shards, guard_replicas, guard_coded)
-                        .bulk_retention(self.bulk_retain)
-                        .byzantine_bulk();
-                    if let Some(period) = self.anti_entropy {
-                        node = node.self_healing(servers.clone(), heal_k, period);
-                    }
-                    nodes.push(Box::new(node))
+            match self.byz_strategy(i) {
+                Some(strat) => {
+                    let inner = ByzServerNode::new(strat.clone(), initial.clone());
+                    nodes.push(Box::new(
+                        self.server_node(i, inner, &servers).byzantine_bulk(),
+                    ))
                 }
                 None => {
-                    let mut node = StoreServerNode::new(
-                        ServerNode::<StorePayload<V>, StoreOut<V>>::new(initial.clone()),
-                    )
-                    .bulk_guard(i, self.n, self.shards, guard_replicas, guard_coded)
-                    .bulk_retention(self.bulk_retain);
-                    if let Some(period) = self.anti_entropy {
-                        node = node.self_healing(servers.clone(), heal_k, period);
-                    }
-                    nodes.push(Box::new(node))
+                    let inner = ServerNode::new(initial.clone());
+                    nodes.push(Box::new(self.server_node(i, inner, &servers)))
                 }
             }
         }
@@ -758,6 +698,34 @@ impl StoreBuilder {
             wsn_modulus: self.wsn_modulus,
             seed: self.seed,
             monitor: self.monitor,
+        }
+    }
+
+    /// The strategy server `slot` runs, if the builder made it Byzantine.
+    fn byz_strategy(&self, slot: usize) -> Option<&ByzStrategy> {
+        self.byz.iter().find(|(i, _)| *i == slot).map(|(_, s)| s)
+    }
+
+    /// Wraps server `slot`'s register machine in the store's data-plane
+    /// layer, identically for every backend: the admission guard (its
+    /// fleet slot, the shard count, and the plane's window, so
+    /// wire-supplied shard tags, fragment totals, and fragment indices
+    /// are checked against the deployment instead of trusted), the
+    /// retention bound, and — with anti-entropy on — the self-healing
+    /// plane over the whole fleet `servers`.
+    fn server_node<P: Payload, Inner>(
+        &self,
+        slot: usize,
+        inner: Inner,
+        servers: &[ProcessId],
+    ) -> StoreServerNode<P, Inner> {
+        let (k, replicas) = self.plane.coding().unwrap_or((1, 0));
+        let node = StoreServerNode::new(inner)
+            .bulk_guard(slot, self.n, self.shards, replicas)
+            .bulk_retention(self.bulk_retain);
+        match self.anti_entropy {
+            Some(period) => node.self_healing(servers.to_vec(), k, period),
+            None => node,
         }
     }
 }
@@ -799,8 +767,8 @@ impl<V: Payload> std::fmt::Debug for StoreNodeSet<V> {
 
 /// Arms the garbage generator: arbitrary initial link contents are batches
 /// of fabricated protocol messages over random shards — or fabricated
-/// bulk-plane transfers, whose forged digests the verified blob stores
-/// and the client-side digest check must reject.
+/// bulk-plane transfers, whose forged fragments the replica-side guard
+/// and commitment replay and the client-side verification must reject.
 fn install_garbage_gen<V: Payload + BulkCodec>(
     sim: &mut Simulation<StoreWire<V>, StoreOut<V>>,
     template: StorePayload<V>,
@@ -835,32 +803,38 @@ fn install_garbage_gen<V: Payload + BulkCodec>(
                 helping: None,
             },
             5 => {
-                // Forged blob push: bytes that (almost surely) do not
-                // match the announced digest.
+                // Forged shapeless push: a zero-fragment "dispersal" of
+                // garbage bytes under a random root — the replica-side
+                // guard must refuse its shape outright.
                 let mut fake = BulkRef::to_bytes(b"");
                 Payload::scramble(&mut fake, rng);
-                return StoreMsg::BulkPut {
+                return StoreMsg::FragPut {
                     shard,
-                    digest: fake.digest,
+                    root: fake.digest,
+                    index: 0,
+                    total: 0,
                     bytes: (0..(rng.next_u64() % 32))
                         .map(|_| rng.next_u64() as u8)
                         .collect::<Vec<u8>>()
                         .into(),
+                    proof: Vec::new(),
                 };
             }
             6 => {
-                // Forged fetch reply with garbage bytes and tag.
+                // Forged fetch reply with garbage bytes, no proof, and a
+                // random tag.
                 let mut fake = BulkRef::to_bytes(b"");
                 Payload::scramble(&mut fake, rng);
-                return StoreMsg::BulkGetAck {
+                return StoreMsg::FragGetAck {
                     shard,
-                    digest: fake.digest,
+                    root: fake.digest,
                     tag: rng.next_u64(),
-                    bytes: rng.chance(0.5).then(|| {
-                        (0..(rng.next_u64() % 32))
+                    frag: rng.chance(0.5).then(|| {
+                        let bytes = (0..(rng.next_u64() % 32))
                             .map(|_| rng.next_u64() as u8)
                             .collect::<Vec<u8>>()
-                            .into()
+                            .into();
+                        (0, bytes, Vec::new())
                     }),
                 };
             }
@@ -1553,8 +1527,7 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
         self.sim.schedule_corruption(now, s);
     }
 
-    /// Wipes server `i`'s blob **and** fragment stores *now* — the
-    /// data-loss fault the self-healing plane
+    /// Wipes server `i`'s fragment store *now* — the data-loss fault the self-healing plane
     /// ([`StoreBuilder::anti_entropy`]) repairs without writer
     /// involvement. Register (metadata) state is untouched; retention
     /// bounds survive. The fault is stamped, so
@@ -1623,38 +1596,28 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
             .node_ref::<StoreClientNode<V>, _>(pid, |n| n.recoveries())
     }
 
-    /// Runs `f` against server `i`'s bulk stores — whole blobs and coded
-    /// fragments (dispatching on the concrete wrapper type, which
-    /// differs for Byzantine slots).
-    fn with_server_bulk<R>(
-        &mut self,
-        i: usize,
-        f: impl FnOnce(&BulkStore, &FragmentStore) -> R,
-    ) -> R {
+    /// Runs `f` against server `i`'s fragment store (dispatching on the
+    /// concrete wrapper type, which differs for Byzantine slots).
+    fn with_server_bulk<R>(&mut self, i: usize, f: impl FnOnce(&FragmentStore) -> R) -> R {
         type Correct<V> =
             StoreServerNode<StorePayload<V>, ServerNode<StorePayload<V>, StoreOut<V>>>;
         type Byz<V> = StoreServerNode<StorePayload<V>, ByzServerNode<StorePayload<V>, StoreOut<V>>>;
         let pid = self.servers[i];
         if self.byz_servers.contains(&i) {
-            self.sim
-                .node_ref::<Byz<V>, _>(pid, |n| f(n.bulk(), n.frag_store()))
+            self.sim.node_ref::<Byz<V>, _>(pid, |n| f(n.frag_store()))
         } else {
             self.sim
-                .node_ref::<Correct<V>, _>(pid, |n| f(n.bulk(), n.frag_store()))
+                .node_ref::<Correct<V>, _>(pid, |n| f(n.frag_store()))
         }
     }
 
-    /// Which server indices hold bulk payload (whole blobs or coded
-    /// fragments) for each shard — the placement the `2t + 1` windows
-    /// promise. Empty under full replication.
+    /// Which server indices hold bulk payload fragments for each shard —
+    /// the placement the `2t + 1` windows promise. Empty under full
+    /// replication.
     pub fn bulk_placement(&mut self) -> BTreeMap<u32, BTreeSet<usize>> {
         let mut placement: BTreeMap<u32, BTreeSet<usize>> = BTreeMap::new();
         for i in 0..self.servers.len() {
-            let held = self.with_server_bulk(i, |b, fr| {
-                let mut s = b.shards_held();
-                s.extend(fr.shards_held());
-                s
-            });
+            let held = self.with_server_bulk(i, FragmentStore::shards_held);
             for shard in held {
                 placement.entry(shard).or_default().insert(i);
             }
@@ -1662,18 +1625,17 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
         placement
     }
 
-    /// Total bulk payload bytes stored on server `i` (whole blobs plus
-    /// coded fragments) — the per-replica storage footprint the coded
-    /// mode cuts by ~`k`×.
+    /// Total bulk payload bytes stored on server `i` — the per-replica
+    /// storage footprint that `k`-of-`m` dispersal cuts by ~`k`× against
+    /// whole copies.
     pub fn bulk_bytes_stored(&mut self, i: usize) -> u64 {
-        self.with_server_bulk(i, |b, fr| b.bytes_stored() + fr.bytes_stored())
+        self.with_server_bulk(i, FragmentStore::bytes_stored)
     }
 
-    /// Number of bulk entries held on server `i` — whole blobs plus
-    /// coded fragment sets (bounded by the [`StoreBuilder::bulk_retain`]
-    /// window when one is set).
+    /// Number of fragment entries held on server `i` (bounded by the
+    /// [`StoreBuilder::bulk_retain`] window when one is set).
     pub fn bulk_blob_count(&mut self, i: usize) -> usize {
-        self.with_server_bulk(i, |b, fr| b.blob_count() + fr.fragment_count())
+        self.with_server_bulk(i, FragmentStore::fragment_count)
     }
 }
 

@@ -33,26 +33,22 @@
 //! # The bulk data plane (metadata/data separation)
 //!
 //! Full replication ships every snapshot to all `n ≥ 8t + 1` servers.
-//! With [`StoreBuilder::bulk`] the store instead serializes each snapshot
-//! (via `sbs-bulk`'s canonical codec), stores the bytes under their
-//! content address on the shard's **`2t + 1` data replicas**, and carries
-//! only the fixed-size digest reference ([`StoreVal::Ref`]) through the
-//! *unmodified* register quorum — the Cachin–Dobre–Vukolić split. Reads
-//! resolve the reference against the data replicas and re-verify the
-//! digest, so a Byzantine data replica serving garbage bytes is detected
-//! and routed around; per-key histories are indistinguishable from
-//! full-replication runs (`tests/bulk_checks.rs` checks this
-//! differentially), while payload bytes on the wire shrink by roughly
-//! `n·rounds / (2t + 1)` (the `bulk_vs_full` bench measures it).
-//!
-//! [`StoreBuilder::bulk_coded`] goes one step further (AVID-style
-//! dispersal): the same `2t + 1` window, but each replica stores only
-//! one `k`-of-`m` **erasure-coded fragment** (~`1/k` of the payload),
-//! verified against a Merkle commitment whose root rides the metadata
-//! quorum as the reference digest. Pushes wait for `k + t` verified
-//! acknowledgements, reads reconstruct from any `k` verified fragments
-//! — cutting per-replica storage and bulk wire bytes by another ~`k`×
-//! at the cost of a `k`-fragment reconstruction on every read.
+//! With [`StoreBuilder::bulk_coded`]`(k)` the store instead serializes
+//! each snapshot (via `sbs-bulk`'s canonical codec), disperses it as
+//! `k`-of-`m` erasure-coded fragments over the shard's **`2t + 1` data
+//! replicas** (one fragment, ~`1/k` of the payload, per replica), and
+//! carries only the fixed-size reference ([`StoreVal::Ref`]: the Merkle
+//! commitment root plus the length) through the *unmodified* register
+//! quorum — the Cachin–Dobre–Vukolić split with AVID-style dispersal.
+//! Pushes wait for `k + t` verified acknowledgements; reads reconstruct
+//! from any `k` fragments that re-verify against the root, so a
+//! Byzantine data replica serving garbage bytes is detected and routed
+//! around. [`StoreBuilder::bulk`] is `k = 1`: every fragment is a whole
+//! copy. Per-key histories are indistinguishable from full-replication
+//! runs (`tests/bulk_checks.rs` checks this differentially), while
+//! payload bytes on the wire shrink by roughly `n·rounds / (2t + 1)` for
+//! whole copies and by another ~`k`× for coded fragments (the
+//! `bulk_vs_full` bench measures both).
 //!
 //! # Communication modes
 //!

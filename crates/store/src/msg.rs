@@ -10,15 +10,17 @@
 //!   handler execution emits toward the same peer travel as a single
 //!   simulator delivery event. A server answering a read sends
 //!   `SS_ACK` + `ACK_READ` as one event instead of two.
-//! - **Bulk data plane** (`BulkPut` / `BulkPutAck` / `BulkGet` /
-//!   `BulkGetAck`, plus the fragment-carrying `FragPut` / `FragPutAck` /
-//!   `FragGetAck` of the erasure-coded mode) — content-addressed payload
-//!   bytes between clients and the shard's `2t + 1` data replicas. These
-//!   never touch the register state machines; the register only ever
-//!   sees the fixed-size [`BulkRef`](sbs_bulk::BulkRef) inside its
-//!   payload. Under the coded mode each replica receives **one**
-//!   `k`-of-`m` fragment with its Merkle path against the commitment
-//!   root, and `BulkGet` (by root) is answered with `FragGetAck`.
+//! - **Bulk data plane** (`FragPut` / `FragPutAck` / `BulkGet` /
+//!   `FragGetAck`) — commitment-verified payload fragments between
+//!   clients and the shard's `2t + 1` data replicas. These never touch
+//!   the register state machines; the register only ever sees the
+//!   fixed-size [`BulkRef`](sbs_bulk::BulkRef) inside its payload. Each
+//!   replica receives **one** `k`-of-`m` fragment with its Merkle path
+//!   against the commitment root (whole copies are `k = 1`: every
+//!   fragment is the full payload), and `BulkGet` (by root) is answered
+//!   with `FragGetAck`. The replica-to-replica repair plane
+//!   (`RepairRequest` / `RepairReply` / `DigestSummary`) moves the same
+//!   fragments.
 //!
 //! The metrics layer splits byte counts by plane
 //! ([`Message::is_bulk`]), which is how the bulk/full traffic comparison
@@ -37,53 +39,20 @@ pub enum StoreMsg<P> {
     /// server's `SS_ACK` still precedes the protocol acknowledgement it
     /// anchors).
     Batch(Vec<RegMsg<P>>),
-    /// Client → data replica: store `bytes` under `digest`. A correct
-    /// replica verifies the digest before storing and acknowledging.
-    BulkPut {
-        /// The shard whose map these bytes serialize.
-        shard: u32,
-        /// The announced content address.
-        digest: BulkDigest,
-        /// The serialized shard map, shared zero-copy: the fan-out to
-        /// every data replica and any ack-wait retransmission clone a
-        /// reference count, not the payload.
-        bytes: SharedBytes,
-    },
-    /// Data replica → client: `digest` is held (verified).
-    BulkPutAck {
-        /// The shard of the acknowledged blob.
-        shard: u32,
-        /// The held content address.
-        digest: BulkDigest,
-    },
-    /// Client → data replica: send the bytes stored under `digest`.
+    /// Client → data replica: send your fragment of the dispersal
+    /// committed to by `digest`.
     BulkGet {
         /// The shard being resolved.
         shard: u32,
-        /// The content address from the metadata register.
+        /// The commitment root from the metadata register.
         digest: BulkDigest,
         /// Round tag: replies carrying a stale tag are ignored.
         tag: u64,
     },
-    /// Data replica → client: the requested bytes, or `None` if the
-    /// replica does not hold the digest (yet). The **client** re-verifies
-    /// the digest — a Byzantine replica can put anything here.
-    BulkGetAck {
-        /// The shard being resolved.
-        shard: u32,
-        /// The requested content address.
-        digest: BulkDigest,
-        /// The round tag of the request this answers.
-        tag: u64,
-        /// The replica's bytes for the digest, if held — shared with the
-        /// replica's blob store (serving costs a refcount bump).
-        bytes: Option<SharedBytes>,
-    },
-    /// Client → data replica (coded mode): store one `k`-of-`m` fragment
-    /// of the dispersal committed to by `root`. A correct replica replays
-    /// the Merkle path before storing and acknowledging, so fabricated
-    /// fragments are unstorable — the coded analogue of the `BulkPut`
-    /// digest check.
+    /// Client → data replica: store one `k`-of-`m` fragment of the
+    /// dispersal committed to by `root`. A correct replica replays the
+    /// Merkle path before storing and acknowledging, so fabricated
+    /// fragments are unstorable.
     FragPut {
         /// The shard whose map this dispersal serializes.
         shard: u32,
@@ -109,10 +78,10 @@ pub enum StoreMsg<P> {
         /// The acknowledged fragment index.
         index: u32,
     },
-    /// Data replica → client (coded mode): the replica's fragment of the
-    /// requested root, with the Merkle path the **client** re-verifies
-    /// before counting it toward reconstruction — a Byzantine replica
-    /// can garble any of these fields.
+    /// Data replica → client: the replica's fragment of the requested
+    /// root, with the Merkle path the **client** re-verifies before
+    /// counting it toward reconstruction — a Byzantine replica can garble
+    /// any of these fields. `frag: None` is a miss.
     FragGetAck {
         /// The shard being resolved.
         shard: u32,
@@ -124,33 +93,28 @@ pub enum StoreMsg<P> {
         /// the replica's fragment store (serving costs a refcount bump).
         frag: Option<(u32, SharedBytes, Vec<BulkDigest>)>,
     },
-    /// Data replica → data replica (self-healing): send whatever you
-    /// hold under `digest` for `shard` — the whole blob (whole-copy
-    /// bulk) or your own verified fragment (coded). Issued by a replica
-    /// that detected a missing/corrupt entry for a digest it should
-    /// serve; guarded like every other bulk-plane request, so replicas
-    /// outside the shard's window refuse it.
+    /// Data replica → data replica (self-healing): send your own
+    /// verified fragment of `digest` for `shard`. Issued by a replica
+    /// that detected a missing/corrupt entry for a root it should serve;
+    /// guarded like every other bulk-plane request, so replicas outside
+    /// the shard's window refuse it.
     RepairRequest {
         /// The shard whose window the requester repairs.
         shard: u32,
-        /// The content address (blob digest or commitment root).
+        /// The commitment root.
         digest: BulkDigest,
     },
-    /// Data replica → data replica: a peer's holdings for a
-    /// [`StoreMsg::RepairRequest`]. At most one of `bytes` / `frag` is
-    /// set; both `None` is a miss. The **requester** re-verifies
-    /// everything against `digest` before storing — a Byzantine peer can
-    /// garble any of these fields.
+    /// Data replica → data replica: a peer's fragment for a
+    /// [`StoreMsg::RepairRequest`]; `frag: None` is a miss. The
+    /// **requester** re-verifies everything against `digest` before
+    /// storing — a Byzantine peer can garble any of these fields.
     RepairReply {
         /// The shard being repaired.
         shard: u32,
-        /// The requested content address.
+        /// The requested commitment root.
         digest: BulkDigest,
-        /// The peer's whole blob for the digest, if held (whole-copy
-        /// bulk) — shared with the peer's blob store.
-        bytes: Option<SharedBytes>,
         /// `(index, bytes, proof)` of the peer's fragment of the root,
-        /// if held (coded) — shared with the peer's fragment store.
+        /// if held — shared with the peer's fragment store.
         frag: Option<(u32, SharedBytes, Vec<BulkDigest>)>,
     },
     /// Data replica → data replica (anti-entropy): a bounded summary of
@@ -163,14 +127,18 @@ pub enum StoreMsg<P> {
     },
 }
 
+/// Bytes a fragment option adds past its presence flag: index (4), the
+/// fragment, and 32 bytes per Merkle path element.
+fn frag_wire_bytes(frag: &Option<(u32, SharedBytes, Vec<BulkDigest>)>) -> u64 {
+    frag.as_ref()
+        .map_or(0, |(_, b, p)| 4 + b.len() as u64 + 32 * p.len() as u64)
+}
+
 impl<P: Payload> Message for StoreMsg<P> {
     fn label(&self) -> &'static str {
         match self {
             StoreMsg::Batch(_) => "BATCH",
-            StoreMsg::BulkPut { .. } => "BULK_PUT",
-            StoreMsg::BulkPutAck { .. } => "BULK_PUT_ACK",
             StoreMsg::BulkGet { .. } => "BULK_GET",
-            StoreMsg::BulkGetAck { .. } => "BULK_GET_ACK",
             StoreMsg::FragPut { .. } => "FRAG_PUT",
             StoreMsg::FragPutAck { .. } => "FRAG_PUT_ACK",
             StoreMsg::FragGetAck { .. } => "FRAG_GET_ACK",
@@ -181,36 +149,22 @@ impl<P: Payload> Message for StoreMsg<P> {
     }
 
     fn wire_bytes(&self) -> u64 {
-        // shard (4) + digest (32) [+ len/tag (8)] headers for the bulk
-        // plane; fragment messages add index/total (4 each) and 32 bytes
-        // per Merkle path element; the metadata plane sums its inner
-        // protocol messages.
+        // shard (4) + root (32) [+ tag (8)] headers for the bulk plane;
+        // a fragment adds index/total (4 each) and 32 bytes per Merkle
+        // path element; the metadata plane sums its inner protocol
+        // messages.
         match self {
             StoreMsg::Batch(batch) => batch.iter().map(RegMsg::wire_size).sum(),
-            StoreMsg::BulkPut { bytes, .. } => 44 + bytes.len() as u64,
-            StoreMsg::BulkPutAck { .. } => 36,
             StoreMsg::BulkGet { .. } => 44,
-            StoreMsg::BulkGetAck { bytes, .. } => 45 + bytes.as_ref().map_or(0, |b| b.len() as u64),
             StoreMsg::FragPut { bytes, proof, .. } => {
                 52 + bytes.len() as u64 + 32 * proof.len() as u64
             }
             StoreMsg::FragPutAck { .. } => 40,
-            StoreMsg::FragGetAck { frag, .. } => {
-                45 + frag
-                    .as_ref()
-                    .map_or(0, |(_, b, p)| 4 + b.len() as u64 + 32 * p.len() as u64)
-            }
+            // Both fragment replies: header + option flag (1) + index (4)
+            // + fragment + proof.
+            StoreMsg::FragGetAck { frag, .. } => 45 + frag_wire_bytes(frag),
             StoreMsg::RepairRequest { .. } => 36,
-            // shard (4) + digest (32) + two presence flags; the blob arm
-            // carries a length prefix (8) so the fragment arm can follow
-            // it in one frame, the fragment arm mirrors `FragGetAck`'s
-            // option plus its own length prefix.
-            StoreMsg::RepairReply { bytes, frag, .. } => {
-                38 + bytes.as_ref().map_or(0, |b| 8 + b.len() as u64)
-                    + frag
-                        .as_ref()
-                        .map_or(0, |(_, b, p)| 12 + b.len() as u64 + 32 * p.len() as u64)
-            }
+            StoreMsg::RepairReply { frag, .. } => 37 + frag_wire_bytes(frag),
             // entry count (4) + shard (4) + digest (32) per entry.
             StoreMsg::DigestSummary { entries } => 4 + 36 * entries.len() as u64,
         }
@@ -308,24 +262,15 @@ mod tests {
     }
 
     #[test]
-    fn bulk_variants_are_bulk_plane_and_sized() {
-        let bytes = vec![0u8; 100];
-        let digest = digest_of(&bytes);
-        let put: StoreMsg<u64> = StoreMsg::BulkPut {
+    fn fetch_request_and_batches_are_sized() {
+        let get: StoreMsg<u64> = StoreMsg::BulkGet {
             shard: 0,
-            digest,
-            bytes: bytes.into(),
-        };
-        assert_eq!(put.label(), "BULK_PUT");
-        assert!(put.is_bulk());
-        assert_eq!(put.wire_bytes(), 144);
-        let miss: StoreMsg<u64> = StoreMsg::BulkGetAck {
-            shard: 0,
-            digest,
+            digest: digest_of(b"root"),
             tag: 1,
-            bytes: None,
         };
-        assert_eq!(miss.wire_bytes(), 45);
+        assert_eq!(get.label(), "BULK_GET");
+        assert!(get.is_bulk());
+        assert_eq!(get.wire_bytes(), 44);
         let batch: StoreMsg<u64> = StoreMsg::Batch(vec![RegMsg::SsAck { tag: 1 }]);
         assert_eq!(batch.wire_bytes(), 16);
     }
@@ -381,26 +326,17 @@ mod tests {
         let miss: StoreMsg<u64> = StoreMsg::RepairReply {
             shard: 2,
             digest,
-            bytes: None,
             frag: None,
         };
         assert_eq!(miss.label(), "REPAIR_REPLY");
         assert!(miss.is_bulk());
-        assert_eq!(miss.wire_bytes(), 38);
-        let blob: StoreMsg<u64> = StoreMsg::RepairReply {
-            shard: 2,
-            digest,
-            bytes: Some(bytes.clone()),
-            frag: None,
-        };
-        assert_eq!(blob.wire_bytes(), 38 + 8 + 50);
+        assert_eq!(miss.wire_bytes(), 37);
         let frag: StoreMsg<u64> = StoreMsg::RepairReply {
             shard: 2,
             digest,
-            bytes: None,
             frag: Some((1, bytes, vec![digest, digest])),
         };
-        assert_eq!(frag.wire_bytes(), 38 + 12 + 50 + 64);
+        assert_eq!(frag.wire_bytes(), 37 + 4 + 50 + 64);
         let summary: StoreMsg<u64> = StoreMsg::DigestSummary {
             entries: vec![(0, digest), (3, digest)],
         };

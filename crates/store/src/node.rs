@@ -40,37 +40,30 @@
 //! per-round timeout discipline (the round timer starts when the round is
 //! actually broadcast), so the knob is safe in both communication modes.
 //!
-//! # The bulk data plane
+//! # The bulk data plane (AVID-style dispersal)
 //!
-//! Under [`DataPlane::Bulk`] the register machines never see a shard
-//! map. A `put` first pushes the serialized map to the shard's `2t + 1`
-//! data replicas (`BULK_PUT`) and waits for `t + 1` verified-store
-//! acknowledgements — so at least one *correct* replica holds the bytes —
-//! before writing the fixed-size [`BulkRef`] through the metadata quorum.
-//! A `get` runs the unchanged metadata read, then resolves the reference
-//! by asking the data replicas (`BULK_GET`) and **re-verifying the
-//! digest** of whatever comes back: a Byzantine data replica serving
-//! garbage bytes fails verification and the client simply keeps waiting
-//! for an honest replica (falling back to a retransmission round, and
-//! ultimately to a metadata re-read, if every reply of a round is
-//! garbage or missing — the latter also recovers from fabricated
-//! references that transient corruption may have planted in a register).
+//! Under [`DataPlane::Coded`] the register machines never see a shard
+//! map. A `put` first disperses the serialized map over the shard's
+//! `m = 2t + 1` data replicas: each replica gets **one** `k`-of-`m`
+//! fragment (~`1/k` of the payload). The writer commits to the fragment
+//! set with a Merkle tree whose root becomes the [`BulkRef`] digest; each
+//! `FRAG_PUT` carries the fragment's Merkle path, so a correct replica
+//! verifies *its own fragment* against the root before storing and
+//! acknowledging. The push waits for `k + t` acknowledgements —
+//! guaranteeing `k` **correct** replicas hold verified fragments —
+//! before writing the fixed-size reference through the metadata quorum.
+//! Whole-copy replication ([`StoreBuilder::bulk`](crate::StoreBuilder))
+//! is `k = 1`: every fragment is the whole map and the push quorum is
+//! `t + 1`.
 //!
-//! # The erasure-coded plane (AVID-style dispersal)
-//!
-//! [`DataPlane::Coded`] keeps the same `m = 2t + 1` replica window but
-//! ships each replica **one `k`-of-`m` fragment** (~`1/k` of the
-//! payload) instead of a whole copy. The writer commits to the fragment
-//! set with a Merkle tree whose root becomes the [`BulkRef`] digest;
-//! each `FRAG_PUT` carries the fragment's Merkle path, so a correct
-//! replica verifies *its own fragment* against the root before storing
-//! and acknowledging. The push waits for `k + t` acknowledgements —
-//! guaranteeing `k` **correct** replicas hold verified fragments — and a
-//! reader reconstructs from any `k` replies whose fragments re-verify
-//! against the root, falling back through retransmission rounds to a
-//! metadata re-read exactly like the whole-copy path. A Byzantine
-//! replica garbling the fragment (or proof) it serves is detected
-//! fragment-by-fragment and simply counts as a bad reply.
+//! A `get` runs the unchanged metadata read, then asks the data replicas
+//! (`BULK_GET`) and reconstructs from any `k` replies whose fragments
+//! re-verify against the root. A Byzantine replica garbling the fragment
+//! (or proof) it serves is detected fragment-by-fragment and simply
+//! counts as a bad reply; the client falls back to a retransmission
+//! round, and ultimately to a metadata re-read, if a round cannot reach
+//! `k` verified fragments — the latter also recovers from fabricated
+//! references that transient corruption may have planted in a register.
 //!
 //! # Live resharding (dual-commit shard handoff)
 //!
@@ -111,9 +104,9 @@ use crate::msg::{StoreMsg, StoreOut};
 use crate::router::{KeyRouter, RoutingEpoch};
 use crate::val::StoreVal;
 use sbs_bulk::{
-    coded_push_quorum, data_replica_slots, digest_of, encode_fragments, fragment_leaves,
-    fragment_len, push_quorum, reconstruct, verify_fragment, BulkCodec, BulkDigest, BulkRef,
-    BulkStore, FragmentStore, MerkleTree, SharedBytes, StoredFragment,
+    coded_push_quorum, data_replica_slots, encode_fragments, fragment_leaves, fragment_len,
+    reconstruct, verify_fragment, BulkCodec, BulkDigest, BulkRef, FragmentStore, MerkleTree,
+    SharedBytes, StoredFragment,
 };
 use sbs_core::{
     AtomicPolicy, ClientLink, Payload, ReadEngine, ReadPolicy, ReadProgress, RegId, RegMsg,
@@ -123,6 +116,7 @@ use sbs_sim::{Context, DetRng, Effects, Node, OpId, ProcessId, SimDuration, Time
 use sbs_stamps::RingSeq;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::convert::Infallible;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -144,17 +138,22 @@ pub enum DataPlane {
     /// register protocol (the paper's original scheme; compatibility
     /// default).
     Full,
-    /// Payload bytes on `replicas` content-addressed data replicas per
-    /// shard; the metadata quorum carries only `(digest, len)`.
+    /// Retired: whole copies are `Coded { k: 1, .. }`. The field is
+    /// uninhabited, so no value of this variant exists; the name remains
+    /// only so code that lists it in a `match` (the `perfbench` package
+    /// does) keeps compiling.
+    #[doc(hidden)]
     Bulk {
-        /// Data replicas per shard — `2t + 1` for Byzantine tolerance.
-        replicas: usize,
+        /// Uninhabited.
+        retired: Infallible,
     },
     /// Erasure-coded dispersal (AVID-style): each of the `replicas`
     /// window servers holds **one** `k`-of-`replicas` fragment
     /// (~`1/k` of the payload) verified against a Merkle commitment
-    /// whose root is the register-visible digest. Any `k` verified
-    /// fragments reconstruct; pushes wait for `k + t` acknowledgements.
+    /// whose root is the register-visible digest; the metadata quorum
+    /// carries only `(root, len)`. Any `k` verified fragments
+    /// reconstruct; pushes wait for `k + t` acknowledgements. `k = 1` is
+    /// whole-copy replication: every fragment is the whole payload.
     ///
     /// Liveness trade vs whole copies: on the minimal `m = 2t + 1`
     /// window with `k > 1`, the push quorum `k + t` exceeds the `t + 1`
@@ -176,6 +175,16 @@ pub enum DataPlane {
     },
 }
 
+impl DataPlane {
+    /// The dispersal shape `(k, m)`, or `None` under full replication.
+    pub(crate) fn coding(self) -> Option<(usize, usize)> {
+        match self {
+            DataPlane::Full => None,
+            DataPlane::Coded { replicas, k } => Some((k, replicas)),
+        }
+    }
+}
+
 /// Consecutive fetch retransmission rounds before the client falls back
 /// to re-reading the metadata register (which recovers from fabricated
 /// references and from metadata that has since moved on).
@@ -185,10 +194,9 @@ const FETCH_ROUNDS_PER_READ: u32 = 2;
 /// (correct [`ServerNode`](sbs_core::ServerNode) or a
 /// [`ByzServerNode`](sbs_core::ByzServerNode) adversary), unwrapping
 /// incoming batches and re-batching its replies — plus this server's slice
-/// of the bulk data plane (a verified [`BulkStore`]).
+/// of the bulk data plane (a verified [`FragmentStore`]).
 pub struct StoreServerNode<P, Inner> {
     inner: Inner,
-    bulk: BulkStore,
     frags: FragmentStore,
     guard: Option<BulkGuard>,
     healer: Option<Healer>,
@@ -198,18 +206,19 @@ pub struct StoreServerNode<P, Inner> {
 }
 
 /// Deployment-derived admission control for a server's slice of the
-/// bulk plane. Everything in a `BULK_PUT`/`FRAG_PUT` besides the
-/// payload — the shard tag, the fragment `total`, the fragment `index` —
-/// arrives from the wire, where a Byzantine writer controls it freely;
-/// this guard pins each field to what the *deployment* says it must be
-/// for this server, so wire lies are refused instead of trusted:
+/// bulk plane. Everything in a `FRAG_PUT` besides the payload — the
+/// shard tag, the fragment `total`, the fragment `index` — arrives from
+/// the wire, where a Byzantine writer controls it freely; this guard
+/// pins each field to what the *deployment* says it must be for this
+/// server, so wire lies are refused instead of trusted:
 ///
 /// - the shard must exist (`shard < shards`) and this server must be in
 ///   its replica window — otherwise a forger could grow per-shard
 ///   retention state (holder sets, recency queues) without bound;
 /// - a fragment's `total` must be the deployment's `m` — otherwise a
-///   degenerate `total = 1` "dispersal" turns the Merkle commitment
-///   check into a plain digest check and can shadow a blob digest;
+///   forged shape (a `total = 1` "dispersal" of any digest-passing
+///   bytes, say) would be checked against a different tree than the
+///   one the writer committed to;
 /// - a fragment's `index` must be this server's own window position for
 ///   the shard (the AVID rule: replica `i` stores fragment `i`) — so a
 ///   `FRAG_PUT_ACK` certifies the exact fragment the push quorum needs,
@@ -226,8 +235,6 @@ struct BulkGuard {
     /// Data replicas per shard window (0 under full replication — every
     /// bulk-plane push is then a forgery by definition).
     replicas: usize,
-    /// True when the deployment disperses coded fragments.
-    coded: bool,
 }
 
 impl BulkGuard {
@@ -256,8 +263,7 @@ struct Healer {
     /// Fleet server process ids in slot order (parallel to the guard's
     /// slot arithmetic, so window slots map to addressable peers).
     servers: Vec<ProcessId>,
-    /// Fragments needed to reconstruct a dispersal (1 on the whole-copy
-    /// bulk plane, where one verified blob suffices).
+    /// Fragments needed to reconstruct a dispersal (1 for whole copies).
     k: usize,
     /// Anti-entropy gossip period.
     period: SimDuration,
@@ -290,7 +296,7 @@ struct RepairJob {
     /// Peers whose reply could not help (miss, bad digest, bad proof).
     /// When every window peer is here the reference is fabricated or
     /// gone fleet-wide and the job is dropped — the bound that stops a
-    /// forged `BULK_GET` digest from leaving a pull open forever.
+    /// forged `BULK_GET` root from leaving a pull open forever.
     noes: BTreeSet<ProcessId>,
 }
 
@@ -298,8 +304,8 @@ struct RepairJob {
 /// holds (fabricating `0xAB` filler on a miss, so the adversary never
 /// *looks* like a miss) and flip one byte to a guaranteed-different
 /// value, copy-on-write — the stored entry stays intact. Draw order
-/// (position, then xor mask) is pinned: the blob, fragment, miss, and
-/// repair serve paths all share this helper, so their RNG streams stay
+/// (position, then xor mask) is pinned: the fetch, miss, and repair
+/// serve paths all share this helper, so their RNG streams stay
 /// bit-identical to the pre-refactor copies.
 fn garble_served(bytes: Option<&[u8]>, rng: &mut DetRng) -> SharedBytes {
     let mut g: Vec<u8> = bytes.map_or_else(|| vec![0xAB; 16], |b| b.to_vec());
@@ -316,7 +322,6 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     pub fn new(inner: Inner) -> Self {
         StoreServerNode {
             inner,
-            bulk: BulkStore::new(),
             frags: FragmentStore::new(),
             guard: None,
             healer: None,
@@ -327,38 +332,27 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     }
 
     /// Installs the deployment-derived bulk admission guard: this
-    /// server is fleet slot `slot` of `n`, the store deploys `shards`
-    /// shards with `replicas` data replicas per window, and `coded`
-    /// says whether the plane disperses fragments. Wire-supplied shard
-    /// tags, fragment totals, and fragment indices are then checked
-    /// against the deployment — a `FRAG_PUT` must carry exactly this
-    /// replica's window position and the deployment's fragment count —
-    /// instead of trusted.
-    pub fn bulk_guard(
-        mut self,
-        slot: usize,
-        n: usize,
-        shards: u32,
-        replicas: usize,
-        coded: bool,
-    ) -> Self {
+    /// server is fleet slot `slot` of `n`, and the store deploys
+    /// `shards` shards with `replicas` data replicas per window (0 under
+    /// full replication). Wire-supplied shard tags, fragment totals, and
+    /// fragment indices are then checked against the deployment — a
+    /// `FRAG_PUT` must carry exactly this replica's window position and
+    /// the deployment's fragment count — instead of trusted.
+    pub fn bulk_guard(mut self, slot: usize, n: usize, shards: u32, replicas: usize) -> Self {
         self.guard = Some(BulkGuard {
             slot,
             n,
             shards,
             replicas,
-            coded,
         });
         self
     }
 
-    /// Bounds this server's blob *and* fragment stores to the last
-    /// `retain` distinct digests per shard (see
-    /// [`BulkStore::with_retention`]); `None` keeps the unbounded
-    /// default.
+    /// Bounds this server's fragment store to the last `retain`
+    /// distinct roots per shard (see [`FragmentStore::with_retention`]);
+    /// `None` keeps the unbounded default.
     pub fn bulk_retention(mut self, retain: Option<usize>) -> Self {
         if let Some(k) = retain {
-            self.bulk = BulkStore::with_retention(k);
             self.frags = FragmentStore::with_retention(k);
         }
         self
@@ -369,8 +363,8 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     /// peers' pulls, re-checks integrity of everything it serves, and
     /// gossips bounded digest summaries every `period` (anti-entropy).
     /// `servers` is the whole fleet in slot order (parallel to the
-    /// guard's slot arithmetic); `k` is the coded plane's reconstruction
-    /// threshold (1 under whole-copy bulk). Off by default — without
+    /// guard's slot arithmetic); `k` is the plane's reconstruction
+    /// threshold (1 for whole copies). Off by default — without
     /// this call the node emits no repair-plane messages, arms no
     /// timers, and draws no extra randomness, so fault-free runs stay
     /// bit-identical to builds that predate self-healing.
@@ -388,11 +382,10 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         self
     }
 
-    /// Wipes this server's blob **and** fragment stores — the data-wipe
-    /// fault a self-healing deployment must recover from. Metadata
-    /// (register) state is untouched; retention bounds survive the wipe.
+    /// Wipes this server's fragment store — the data-wipe fault a
+    /// self-healing deployment must recover from. Metadata (register)
+    /// state is untouched; retention bounds survive the wipe.
     pub fn wipe_data_stores(&mut self) {
-        self.bulk.wipe();
         self.frags.wipe();
     }
 
@@ -421,7 +414,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     /// commit on a sub-window push quorum (a reader's `BULK_GET` can
     /// beat the last push), and gossip can outrun a push entirely.
     /// Corruption detected on serve skips this and repairs immediately
-    /// ([`Self::start_repair`]): a failed digest re-check is proof of
+    /// ([`Self::start_repair`]): a failed commitment re-check is proof of
     /// damage, not a race.
     fn suspect_missing(&mut self, shard: u32, digest: BulkDigest) {
         if self.window_peers(shard).is_empty() {
@@ -471,7 +464,6 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         from: ProcessId,
         shard: u32,
         digest: BulkDigest,
-        bytes: Option<SharedBytes>,
         frag: Option<(u32, SharedBytes, Vec<BulkDigest>)>,
         ctx: &mut Context<'_, StoreMsg<P>, O>,
     ) {
@@ -481,28 +473,8 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         let Some(job) = h.pending.get_mut(&(shard, digest)) else {
             return;
         };
-        if !g.coded {
-            // Whole-copy plane: one digest-passing blob finishes the job.
-            match bytes {
-                Some(b) if digest_of(&b) == digest => {
-                    h.pending.remove(&(shard, digest));
-                    self.bulk.put(shard, digest, b);
-                    ctx.trace(TraceEvent::Phase {
-                        shard,
-                        phase: "RepairDone",
-                    });
-                }
-                _ => {
-                    job.noes.insert(from);
-                    if job.noes.len() >= quorum {
-                        h.pending.remove(&(shard, digest));
-                    }
-                }
-            }
-            return;
-        }
-        // Coded plane: collect commitment-verified fragments until any
-        // `k` distinct indices are present.
+        // Collect commitment-verified fragments until any `k` distinct
+        // indices are present.
         let m = g.replicas;
         match frag {
             Some((index, b, proof))
@@ -570,11 +542,9 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     /// (forgetting previous misses, so a peer that was itself mid-wipe
     /// gets asked again), and re-arm the period timer.
     fn on_anti_entropy_tick<O>(&mut self, ctx: &mut Context<'_, StoreMsg<P>, O>) {
-        let mut holdings = self.bulk.holdings();
-        holdings.extend(self.frags.holdings());
+        let holdings = self.frags.holdings();
         let g = self.guard;
         let frags = &self.frags;
-        let bulk = &self.bulk;
         let Some(h) = &mut self.healer else { return };
         h.timer = Some(ctx.set_timer(h.period));
         // Two-phase suspect sweep. A suspect that resolved itself (the
@@ -584,11 +554,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         // ripens into a pull below.
         let mut ripe: Vec<(u32, BulkDigest)> = Vec::new();
         h.suspects.retain(|&(shard, digest), armed| {
-            let held = match g {
-                Some(gg) if gg.coded => frags.get_for(shard, &digest).is_some(),
-                _ => bulk.holds(&digest),
-            };
-            if held {
+            if frags.get_for(shard, &digest).is_some() {
                 return false;
             }
             if *armed {
@@ -645,11 +611,11 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         }
     }
 
-    /// Makes this server's **data plane** Byzantine too: it stores blobs
-    /// and fragments like a correct replica (so its storage footprint —
+    /// Makes this server's **data plane** Byzantine too: it stores
+    /// fragments like a correct replica (so its storage footprint —
     /// and its put acknowledgements — are indistinguishable) but garbles
     /// every byte string it serves — exactly the attack the client-side
-    /// digest/commitment check must catch. Note the adversary stays
+    /// commitment check must catch. Note the adversary stays
     /// *responsive*: it acks puts honestly, which is what keeps coded
     /// pushes (`k + t` acks on a `2t + 1` window) live in simulation;
     /// see [`DataPlane::Coded`] for the fail-silent caveat.
@@ -663,15 +629,25 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         &self.inner
     }
 
-    /// This server's bulk blob store (for placement assertions).
-    pub fn bulk(&self) -> &BulkStore {
-        &self.bulk
-    }
-
-    /// This server's erasure-coded fragment store (for placement and
-    /// storage-footprint assertions in coded mode).
+    /// This server's fragment store (for placement and
+    /// storage-footprint assertions).
     pub fn frag_store(&self) -> &FragmentStore {
         &self.frags
+    }
+
+    /// The Byzantine stand-in for a miss: a fabricated fragment at this
+    /// server's own window position for `shard` (0 when unguarded or
+    /// outside the window), so the adversary never *looks* like a miss.
+    fn fabricated_fragment(
+        &self,
+        shard: u32,
+        rng: &mut DetRng,
+    ) -> Option<(u32, SharedBytes, Vec<BulkDigest>)> {
+        let pos = self
+            .guard
+            .and_then(|g| g.window_position(shard))
+            .unwrap_or(0);
+        Some((pos as u32, garble_served(None, rng), Vec::new()))
     }
 }
 
@@ -679,7 +655,7 @@ impl<P: Payload, Inner: std::fmt::Debug> std::fmt::Debug for StoreServerNode<P, 
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreServerNode")
             .field("inner", &self.inner)
-            .field("bulk_blobs", &self.bulk.blob_count())
+            .field("fragments", &self.frags.fragment_count())
             .field("byz_bulk", &self.byz_bulk)
             .finish()
     }
@@ -724,38 +700,6 @@ where
                     ctx.output(o);
                 }
             }
-            StoreMsg::BulkPut {
-                shard,
-                digest,
-                bytes,
-            } => {
-                // Admission: the shard tag is wire data — only store
-                // under shards this server actually serves (a guarded
-                // full-replication server serves none), so a forger
-                // cannot grow per-shard retention state without bound.
-                // And a *coded* deployment's data plane holds fragments
-                // only: a whole-blob put there is a forgery by
-                // definition and is refused symmetrically to the
-                // `!g.coded` FragPut refusal (pre-fix it was the vehicle
-                // for shadowing a dispersal root with a stored blob).
-                if let Some(g) = &self.guard {
-                    if g.coded || g.window_position(shard).is_none() {
-                        ctx.note_guard_refusal();
-                        ctx.trace(TraceEvent::GuardRefusal {
-                            shard,
-                            what: "blob-put-unserved",
-                        });
-                        return;
-                    }
-                }
-                // Verify-before-store: fabricated blobs (link garbage, a
-                // lying writer) are refused silently and never
-                // acknowledged. Storing shares the wire message's
-                // allocation — no copy on the receive path.
-                if self.bulk.put(shard, digest, bytes).held() {
-                    ctx.send(from, StoreMsg::BulkPutAck { shard, digest });
-                }
-            }
             StoreMsg::FragPut {
                 shard,
                 root,
@@ -764,16 +708,17 @@ where
                 bytes,
                 proof,
             } => {
-                // Admission: `total` and `index` are wire data. Pin the
-                // dispersal shape to the deployment's and the index to
-                // *this replica's* window position (the AVID rule), so a
-                // degenerate `total = 1` forgery cannot reduce the
-                // commitment check to a digest check, and an
-                // acknowledgement always certifies the one fragment the
-                // push quorum counts on this replica holding.
+                // Admission: the shard tag, `total` and `index` are wire
+                // data. Only store under shards this server actually
+                // serves (a guarded full-replication server serves none),
+                // so a forger cannot grow per-shard retention state
+                // without bound; pin the dispersal shape to the
+                // deployment's and the index to *this replica's* window
+                // position (the AVID rule), so an acknowledgement always
+                // certifies the one fragment the push quorum counts on
+                // this replica holding.
                 if let Some(g) = &self.guard {
-                    if !g.coded
-                        || total as usize != g.replicas
+                    if total as usize != g.replicas
                         || g.window_position(shard) != Some(index as usize)
                     {
                         ctx.note_guard_refusal();
@@ -784,10 +729,11 @@ where
                         return;
                     }
                 }
-                // Verify-before-store, coded edition: the Merkle path is
-                // replayed against the announced root, so a fragment that
-                // does not belong to the committed set is refused
-                // silently and never acknowledged.
+                // Verify-before-store: the Merkle path is replayed
+                // against the announced root, so a fragment that does not
+                // belong to the committed set (link garbage, a lying
+                // writer) is refused silently and never acknowledged.
+                // Storing shares the wire message's allocation.
                 let frag = StoredFragment {
                     index,
                     total,
@@ -799,45 +745,6 @@ where
                 }
             }
             StoreMsg::BulkGet { shard, digest, tag } => {
-                // Coded dispersals and whole blobs share the request: the
-                // digest names whichever the replica holds (a commitment
-                // root in coded mode, a content address otherwise). Whole
-                // blobs are checked first: a blob cannot shadow a genuine
-                // dispersal root — a guarded coded server refuses blob
-                // puts outright, and node hashing is domain-separated
-                // from content addressing, so no storable bytes hash to
-                // a root — whereas letting fragments answer first would
-                // let a fabricated single-fragment entry shadow a blob
-                // on an unguarded server.
-                if self.bulk.holds(&digest) {
-                    let bytes = self.bulk.get_shared(&digest);
-                    // Self-healing integrity re-check on serve: a blob
-                    // that no longer hashes to its address is dropped
-                    // and repaired instead of served. Off without the
-                    // healer (the check costs a re-hash per serve).
-                    let corrupt = self.healer.is_some()
-                        && !self.byz_bulk
-                        && bytes.as_deref().is_none_or(|b| digest_of(b) != digest);
-                    if !corrupt {
-                        let bytes = if self.byz_bulk {
-                            Some(garble_served(bytes.as_deref(), ctx.rng()))
-                        } else {
-                            bytes
-                        };
-                        ctx.send(
-                            from,
-                            StoreMsg::BulkGetAck {
-                                shard,
-                                digest,
-                                tag,
-                                bytes,
-                            },
-                        );
-                        return;
-                    }
-                    self.bulk.remove(&digest);
-                    self.start_repair(shard, digest, ctx);
-                }
                 // Serve the fragment stored for this shard's window
                 // position (overlapping windows can hold several indices
                 // of an aliased root; any verified one helps a reader).
@@ -892,20 +799,20 @@ where
                     self.suspect_missing(shard, digest);
                 }
                 // An honest replica answers the miss; a Byzantine one
-                // fabricates garbage bytes instead — which the
-                // client-side digest check must catch.
-                let bytes = if self.byz_bulk {
-                    Some(garble_served(None, ctx.rng()))
+                // fabricates a fragment instead — which the client-side
+                // commitment check must catch.
+                let frag = if self.byz_bulk {
+                    self.fabricated_fragment(shard, ctx.rng())
                 } else {
                     None
                 };
                 ctx.send(
                     from,
-                    StoreMsg::BulkGetAck {
+                    StoreMsg::FragGetAck {
                         shard,
-                        digest,
+                        root: digest,
                         tag,
-                        bytes,
+                        frag,
                     },
                 );
             }
@@ -927,24 +834,6 @@ where
                         return;
                     }
                 }
-                if self.bulk.holds(&digest) {
-                    let bytes = self.bulk.get_shared(&digest);
-                    let bytes = if self.byz_bulk {
-                        Some(garble_served(bytes.as_deref(), ctx.rng()))
-                    } else {
-                        bytes
-                    };
-                    ctx.send(
-                        from,
-                        StoreMsg::RepairReply {
-                            shard,
-                            digest,
-                            bytes,
-                            frag: None,
-                        },
-                    );
-                    return;
-                }
                 if let Some(f) = self.frags.get_for(shard, &digest) {
                     let (index, proof) = (f.index, f.proof.clone());
                     let bytes = if self.byz_bulk {
@@ -957,14 +846,13 @@ where
                         StoreMsg::RepairReply {
                             shard,
                             digest,
-                            bytes: None,
                             frag: Some((index, bytes, proof)),
                         },
                     );
                     return;
                 }
-                let bytes = if self.byz_bulk {
-                    Some(garble_served(None, ctx.rng()))
+                let frag = if self.byz_bulk {
+                    self.fabricated_fragment(shard, ctx.rng())
                 } else {
                     None
                 };
@@ -973,17 +861,15 @@ where
                     StoreMsg::RepairReply {
                         shard,
                         digest,
-                        bytes,
-                        frag: None,
+                        frag,
                     },
                 );
             }
             StoreMsg::RepairReply {
                 shard,
                 digest,
-                bytes,
                 frag,
-            } => self.on_repair_reply(from, shard, digest, bytes, frag, ctx),
+            } => self.on_repair_reply(from, shard, digest, frag, ctx),
             StoreMsg::DigestSummary { entries } => {
                 // Anti-entropy pull, deferred: whatever a peer retains
                 // for a window this server covers but cannot serve
@@ -996,24 +882,15 @@ where
                 }
                 let Some(g) = self.guard else { return };
                 for (shard, digest) in entries {
-                    if g.window_position(shard).is_none() {
-                        continue;
-                    }
-                    let held = if g.coded {
-                        self.frags.get_for(shard, &digest).is_some()
-                    } else {
-                        self.bulk.holds(&digest)
-                    };
-                    if !held {
+                    if g.window_position(shard).is_some()
+                        && self.frags.get_for(shard, &digest).is_none()
+                    {
                         self.suspect_missing(shard, digest);
                     }
                 }
             }
             // Client-bound replies arriving at a server are garbage.
-            StoreMsg::BulkPutAck { .. }
-            | StoreMsg::BulkGetAck { .. }
-            | StoreMsg::FragPutAck { .. }
-            | StoreMsg::FragGetAck { .. } => {}
+            StoreMsg::FragPutAck { .. } | StoreMsg::FragGetAck { .. } => {}
         }
     }
 
@@ -1203,27 +1080,24 @@ enum Phase<V: Payload> {
         rounds: u32,
         /// The round's retransmission timer.
         timer: TimerId,
-        /// Commitment-verified fragments by index (coded mode).
-        /// Carried *across* retransmission rounds: a verified fragment
-        /// stays verified whatever round it arrived in.
+        /// Commitment-verified fragments by index. Carried *across*
+        /// retransmission rounds: a verified fragment stays verified
+        /// whatever round it arrived in.
         frags: BTreeMap<u32, SharedBytes>,
-        /// Set by a digest-verified reply (or a `k`-fragment
-        /// reconstruction); consumed by the pump.
+        /// Set by a `k`-fragment reconstruction; consumed by the pump.
         resolved: Option<ShardMap<V>>,
     },
-    /// Bulk/coded mode: payload (whole copies, or one fragment per
-    /// replica) pushed to the data replicas; waiting for the push quorum
-    /// of verified-store acknowledgements (`t + 1` whole-copy, `k + t`
-    /// coded) before the metadata write.
+    /// Bulk plane: one fragment pushed to each data replica; waiting for
+    /// the `k + t` verified-store acknowledgements before the metadata
+    /// write.
     PushingBulk {
         ops: Vec<OpId>,
         shard: u32,
         digest: BulkDigest,
-        /// The per-replica push messages, index-aligned with the shard's
-        /// replica window, kept for ack-wait retransmissions — payload
-        /// bytes inside are shared, so a re-push clones reference
-        /// counts. (Whole-copy mode sends the same blob to everyone;
-        /// coded mode sends replica `i` fragment `i`.)
+        /// The per-replica push messages (replica `i` gets fragment
+        /// `i`), index-aligned with the shard's replica window, kept for
+        /// ack-wait retransmissions — payload bytes inside are shared, so
+        /// a re-push clones reference counts.
         pushes: Vec<StoreWire<V>>,
         payload: StorePayload<V>,
         acks: BTreeSet<ProcessId>,
@@ -1265,17 +1139,16 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         wsn_modulus: u128,
         plane: DataPlane,
     ) -> Self {
-        if let DataPlane::Bulk { replicas } | DataPlane::Coded { replicas, .. } = plane {
+        if let Some((k, replicas)) = plane.coding() {
             assert!(
                 (1..=servers.len()).contains(&replicas),
                 "bulk replication factor {replicas} out of range for {} servers",
                 servers.len()
             );
-        }
-        if let DataPlane::Coded { replicas, k } = plane {
             assert!(
-                k >= 1 && k <= replicas,
-                "coded reconstruction threshold k={k} out of range for m={replicas} fragments"
+                k >= 1 && k + cfg.t <= replicas,
+                "coded reconstruction threshold k={k} out of range: k + t must fit within \
+                 m={replicas} fragments"
             );
         }
         let owned = owned_shards
@@ -1533,15 +1406,13 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     /// [`StoreClientNode::data_replicas`] over explicit fields, callable
     /// while `self.phase` is mutably borrowed.
     fn replicas_for(plane: DataPlane, servers: &[ProcessId], shard: u32) -> Vec<ProcessId> {
-        match plane {
-            DataPlane::Full => Vec::new(),
-            DataPlane::Bulk { replicas } | DataPlane::Coded { replicas, .. } => {
-                data_replica_slots(shard, servers.len(), replicas)
-                    .into_iter()
-                    .map(|i| servers[i])
-                    .collect()
-            }
-        }
+        let Some((_, replicas)) = plane.coding() else {
+            return Vec::new();
+        };
+        data_replica_slots(shard, servers.len(), replicas)
+            .into_iter()
+            .map(|i| servers[i])
+            .collect()
     }
 
     /// One bulk-plane round's timer span: the timeout derived from the
@@ -1555,43 +1426,27 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     /// Number of data replicas per shard (0 under full replication) —
     /// allocation-free, for the per-message pump paths.
     fn replica_count(&self) -> usize {
-        match self.plane {
-            DataPlane::Full => 0,
-            DataPlane::Bulk { replicas } | DataPlane::Coded { replicas, .. } => replicas,
-        }
-    }
-
-    /// The coding shape `(k, m)` when dispersing fragments, `None` on
-    /// the whole-copy planes.
-    fn coding(&self) -> Option<(usize, usize)> {
-        match self.plane {
-            DataPlane::Coded { replicas, k } => Some((k, replicas)),
-            _ => None,
-        }
+        self.plane.coding().map_or(0, |(_, m)| m)
     }
 
     /// Verified-store acknowledgements a push must collect before the
-    /// metadata write: `t + 1` for whole copies, `k + t` for a coded
-    /// dispersal — both capped by the factor actually configured
-    /// (sub-canonical factors are experiment knobs that trade the
-    /// Byzantine guarantee away, not deadlocks).
+    /// metadata write: `k + t` (`t + 1` for whole copies), which the
+    /// constructor checked fits the window.
     fn push_needed(&self) -> usize {
-        let quorum = match self.coding() {
-            Some((k, _)) => coded_push_quorum(self.cfg.t, k),
-            None => push_quorum(self.cfg.t),
-        };
-        quorum.min(self.replica_count())
+        self.plane
+            .coding()
+            .map_or(0, |(k, _)| coded_push_quorum(self.cfg.t, k))
     }
 
-    /// The reconstruction threshold: `k` verified fragments in coded
-    /// mode, one digest-passing blob otherwise. Also the right constant
+    /// The reconstruction threshold: `k` verified fragments (1 under
+    /// full replication, where nothing is fetched). Also the right constant
     /// for the dead-round test: a replica whose fragment is already
     /// held can only re-serve it (redundant), so with `f` fragments in
     /// hand the helpful outstanding replies number at most
     /// `m − bad − f`, and the round is dead exactly when
     /// `m − bad − f < k − f` ⇔ `bad > m − k` — independent of `f`.
     fn resolve_threshold(&self) -> usize {
-        self.coding().map_or(1, |(k, _)| k)
+        self.plane.coding().map_or(1, |(k, _)| k)
     }
 
     /// True iff `pid` serves `shard`'s bulk window — membership by window
@@ -1602,7 +1457,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         shard: u32,
         pid: ProcessId,
     ) -> bool {
-        let (DataPlane::Bulk { replicas } | DataPlane::Coded { replicas, .. }) = plane else {
+        let Some((_, replicas)) = plane.coding() else {
             return false;
         };
         let n = servers.len();
@@ -1625,9 +1480,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         shard: u32,
         index: u32,
     ) -> Option<ProcessId> {
-        let (DataPlane::Bulk { replicas } | DataPlane::Coded { replicas, .. }) = plane else {
-            return None;
-        };
+        let (_, replicas) = plane.coding()?;
         let n = servers.len();
         ((index as usize) < replicas).then(|| servers[(shard as usize % n + index as usize) % n])
     }
@@ -1685,8 +1538,8 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
 
     /// Publishes the authoritative map of `shard`: under full replication
     /// one metadata write of the inline map; under the bulk plane a
-    /// `BULK_PUT` fan-out to the data replicas first, the reference write
-    /// gated on `t + 1` verified acknowledgements. The publish completes
+    /// `FRAG_PUT` fan-out to the data replicas first, the reference write
+    /// gated on `k + t` verified acknowledgements. The publish completes
     /// every op in `ops` (several when the batch window folded a run of
     /// puts); empty `ops` is a recovery republish.
     fn start_publish(
@@ -1698,8 +1551,8 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     ) {
         let replicas = self.data_replicas(shard);
         let owned = self.owned.get_mut(&shard).expect("publish on owned shard");
-        match self.plane {
-            DataPlane::Full => {
+        match self.plane.coding() {
+            None => {
                 sub.trace(TraceEvent::Phase {
                     shard,
                     phase: "MetadataWrite",
@@ -1714,40 +1567,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                 self.write_engine.start(payload, &mut self.link, sub);
                 self.phase = Phase::Writing { ops };
             }
-            DataPlane::Bulk { .. } => {
-                sub.trace(TraceEvent::Phase {
-                    shard,
-                    phase: "PushingBulk",
-                });
-                let bytes: SharedBytes = owned.map.encode_to_vec().into();
-                let bref = BulkRef::to_bytes(&bytes);
-                let payload = WriteStamper::<StoreVal<V>, StorePayload<V>>::stamp(
-                    &mut owned.stamper,
-                    StoreVal::Ref(bref),
-                );
-                let pushes: Vec<StoreWire<V>> = replicas
-                    .iter()
-                    .map(|_| StoreMsg::BulkPut {
-                        shard,
-                        digest: bref.digest,
-                        bytes: bytes.clone(),
-                    })
-                    .collect();
-                for (&r, m) in replicas.iter().zip(&pushes) {
-                    bulk_sends.push((r, m.clone()));
-                }
-                let timer = sub.set_timer(self.round_timer());
-                self.phase = Phase::PushingBulk {
-                    ops,
-                    shard,
-                    digest: bref.digest,
-                    pushes,
-                    payload,
-                    acks: BTreeSet::new(),
-                    timer,
-                };
-            }
-            DataPlane::Coded { replicas: m, k } => {
+            Some((k, m)) => {
                 sub.trace(TraceEvent::Phase {
                     shard,
                     phase: "PushingBulk",
@@ -2162,10 +1982,9 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                     }
                     // Dead round: so many distinct window replicas
                     // answered garbage or a miss that the replies still
-                    // outstanding cannot reach the resolve threshold
-                    // (one digest-passing blob, or k verified fragments
-                    // — see `resolve_threshold` for why held fragments
-                    // do not relax this). The reference may be stale
+                    // outstanding cannot reach the k verified fragments
+                    // (see `resolve_threshold` for why held fragments do
+                    // not relax this). The reference may be stale
                     // (overwritten metadata) or fabricated — fall back
                     // to the metadata register.
                     let needed = self.resolve_threshold();
@@ -2201,9 +2020,9 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                     timer,
                 } => {
                     if acks.len() >= self.push_needed() {
-                        // t+1 verified stores ⇒ ≥1 correct replica holds
-                        // the bytes (k+t ⇒ ≥k hold verified fragments):
-                        // the reference may become visible.
+                        // k+t verified stores ⇒ ≥k correct replicas hold
+                        // verified fragments: the reference may become
+                        // visible.
                         sub.trace(TraceEvent::Phase {
                             shard,
                             phase: "MetadataWrite",
@@ -2267,62 +2086,16 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         }
     }
 
-    /// Validates one `BULK_GET` reply against the in-flight fetch;
-    /// digest-verified bytes resolve the fetch, anything else marks the
-    /// *sender* bad (the fallback-to-other-replicas path). Only replies
-    /// from the shard's window replicas are processed at all — the bad
-    /// tally is a set of senders, so no single Byzantine replica (or
-    /// tag-guessing outsider) can fabricate a dead round by spamming
-    /// replies.
-    fn on_bulk_get_ack(
-        &mut self,
-        from: ProcessId,
-        shard: u32,
-        digest: BulkDigest,
-        tag: u64,
-        bytes: Option<SharedBytes>,
-        _ctx: &mut StoreCtx<'_, V>,
-    ) {
-        if !Self::is_data_replica(self.plane, &self.servers, shard, from) {
-            return;
-        }
-        let Phase::Fetching {
-            shard: s,
-            bref,
-            tag: t,
-            bad,
-            resolved,
-            ..
-        } = &mut self.phase
-        else {
-            return;
-        };
-        if tag != *t || shard != *s || digest != bref.digest || resolved.is_some() {
-            return; // stale round, wrong blob, or already resolved
-        }
-        match bytes {
-            Some(b) if bref.verifies(&b) => match ShardMap::<V>::decode_all(&b) {
-                Some(map) => *resolved = Some(map),
-                // Digest-passing but undecodable would need a digest
-                // collision; treat it as a bad replica all the same.
-                None => {
-                    bad.insert(from);
-                }
-            },
-            _ => {
-                bad.insert(from);
-            }
-        }
-    }
-
-    /// Validates one fragment reply against the in-flight coded fetch:
-    /// the fragment must be the right length, carry an in-range index,
-    /// and re-verify against the commitment root. The `k`-th distinct
-    /// verified fragment triggers reconstruction; replies that fail any
-    /// check mark the sender bad (the fallback path — a sender set, like
-    /// [`StoreClientNode::on_bulk_get_ack`], and window replicas only),
-    /// and re-served fragments for an index already verified are simply
-    /// redundant.
+    /// Validates one fragment reply against the in-flight fetch: the
+    /// fragment must be the right length, carry an in-range index, and
+    /// re-verify against the commitment root. The `k`-th distinct
+    /// verified fragment triggers reconstruction; misses and replies that
+    /// fail any check mark the *sender* bad (the fallback path), and
+    /// re-served fragments for an index already verified are simply
+    /// redundant. Only replies from the shard's window replicas are
+    /// processed at all — the bad tally is a set of senders, so no single
+    /// Byzantine replica (or tag-guessing outsider) can fabricate a dead
+    /// round by spamming replies.
     fn on_frag_get_ack(
         &mut self,
         from: ProcessId,
@@ -2332,8 +2105,8 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         frag: Option<(u32, SharedBytes, Vec<BulkDigest>)>,
         ctx: &mut StoreCtx<'_, V>,
     ) {
-        let Some((k, m)) = self.coding() else {
-            return; // whole-copy clients never ask for fragments
+        let Some((k, m)) = self.plane.coding() else {
+            return; // full-replication clients never ask for fragments
         };
         if !Self::is_data_replica(self.plane, &self.servers, shard, from) {
             return;
@@ -2413,36 +2186,6 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
                     }
                 }
             }
-            StoreMsg::BulkPutAck { shard, digest } => {
-                let mut have = None;
-                if let Phase::PushingBulk {
-                    shard: s,
-                    digest: d,
-                    acks,
-                    ..
-                } = &mut self.phase
-                {
-                    // Only replicas we actually asked may count toward the
-                    // push quorum (a content-addressed stale ack from an
-                    // earlier identical map is fine: held is held).
-                    if *s == shard
-                        && *d == digest
-                        && Self::is_data_replica(self.plane, &self.servers, shard, from)
-                        && acks.insert(from)
-                    {
-                        have = Some(acks.len() as u32);
-                    }
-                }
-                if let Some(have) = have {
-                    if ctx.tracing() {
-                        ctx.trace(TraceEvent::QuorumAck {
-                            shard,
-                            have,
-                            need: self.push_needed() as u32,
-                        });
-                    }
-                }
-            }
             StoreMsg::FragPutAck { shard, root, index } => {
                 let mut have = None;
                 if let Phase::PushingBulk {
@@ -2472,12 +2215,6 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
                     }
                 }
             }
-            StoreMsg::BulkGetAck {
-                shard,
-                digest,
-                tag,
-                bytes,
-            } => self.on_bulk_get_ack(from, shard, digest, tag, bytes, ctx),
             StoreMsg::FragGetAck {
                 shard,
                 root,
@@ -2486,8 +2223,7 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
             } => self.on_frag_get_ack(from, shard, root, tag, frag, ctx),
             // Server-bound bulk requests — and the server-to-server
             // repair plane — arriving at a client are garbage.
-            StoreMsg::BulkPut { .. }
-            | StoreMsg::BulkGet { .. }
+            StoreMsg::BulkGet { .. }
             | StoreMsg::FragPut { .. }
             | StoreMsg::RepairRequest { .. }
             | StoreMsg::RepairReply { .. }
@@ -2552,8 +2288,8 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
             if *timer == id {
                 // Ack-wait round expired short of the push quorum:
                 // re-push to the replicas still missing — each gets its
-                // own prepared message again (the same whole copy, or
-                // its assigned fragment). In synchronous mode this is
+                // own prepared message (its assigned fragment) again. In
+                // synchronous mode this is
                 // the Fig. 5 "wait … or time-out" rule applied to the
                 // data plane; in asynchronous mode it is the usual
                 // retransmission that keeps the push live across
@@ -2634,7 +2370,7 @@ mod tests {
         let servers: Vec<ProcessId> = (0..9).map(ProcessId).collect();
         let mut node: StoreServerNode<P, ServerNode<P, ()>> =
             StoreServerNode::new(ServerNode::new(0))
-                .bulk_guard(1, 9, 4, 3, true)
+                .bulk_guard(1, 9, 4, 3)
                 .self_healing(servers, 2, SimDuration::millis(1));
         enum Ev {
             Start,
@@ -2703,7 +2439,6 @@ mod tests {
                     StoreMsg::RepairReply {
                         shard: 0,
                         digest: bad_root,
-                        bytes: None,
                         frag: Some((i, poisoned[i as usize].clone(), bad_tree.proof(i as usize))),
                     },
                 ),
@@ -2737,7 +2472,6 @@ mod tests {
                     StoreMsg::RepairReply {
                         shard: 0,
                         digest: root,
-                        bytes: None,
                         frag: Some((i, frags[i as usize].clone(), tree.proof(i as usize))),
                     },
                 ),
@@ -2786,6 +2520,9 @@ mod tests {
         node.invoke_put(OpId(0), key, 5, &mut ctx);
     }
 
+    /// A whole-copy (`k = 1`) fragment push on an unguarded server:
+    /// fabricated bytes are refused, the genuine copy is stored and
+    /// acknowledged, and a fetch serves it back verbatim.
     #[test]
     fn bulk_server_refuses_fabricated_blobs_and_serves_held_ones() {
         use sbs_core::ServerNode;
@@ -2797,7 +2534,17 @@ mod tests {
         let client = ProcessId(0);
 
         let bytes: SharedBytes = b"real blob".to_vec().into();
-        let digest = digest_of(&bytes);
+        let frags = encode_fragments(&bytes, 1, 3);
+        let tree = MerkleTree::build(&fragment_leaves(&frags));
+        let root = tree.root();
+        let put = |bytes: SharedBytes| StoreMsg::FragPut {
+            shard: 1,
+            root,
+            index: 0,
+            total: 3,
+            bytes,
+            proof: tree.proof(0),
+        };
         let run = |node: &mut StoreServerNode<P, ServerNode<P, ()>>,
                    rng: &mut DetRng,
                    nt: &mut u64,
@@ -2808,37 +2555,19 @@ mod tests {
             eff
         };
 
-        // A fabricated blob (bytes not matching the digest) is refused:
-        // no ack, nothing stored.
-        let eff = run(
-            &mut node,
-            &mut rng,
-            &mut nt,
-            StoreMsg::BulkPut {
-                shard: 1,
-                digest,
-                bytes: b"forged".to_vec().into(),
-            },
-        );
-        assert!(eff.sends().is_empty(), "forged blob must not be acked");
-        assert_eq!(node.bulk().blob_count(), 0);
+        // A fabricated copy (bytes not matching the root) is refused: no
+        // ack, nothing stored.
+        let eff = run(&mut node, &mut rng, &mut nt, put(b"forged".to_vec().into()));
+        assert!(eff.sends().is_empty(), "forged copy must not be acked");
+        assert_eq!(node.frag_store().fragment_count(), 0);
 
-        // The genuine blob stores and acks.
-        let eff = run(
-            &mut node,
-            &mut rng,
-            &mut nt,
-            StoreMsg::BulkPut {
-                shard: 1,
-                digest,
-                bytes: bytes.clone(),
-            },
-        );
+        // The genuine copy stores and acks.
+        let eff = run(&mut node, &mut rng, &mut nt, put(frags[0].clone()));
         assert!(matches!(
             eff.sends(),
-            [(_, StoreMsg::BulkPutAck { shard: 1, .. })]
+            [(_, StoreMsg::FragPutAck { shard: 1, .. })]
         ));
-        assert!(node.bulk().holds(&digest));
+        assert!(node.frag_store().holds(&root));
 
         // A get returns the held bytes verbatim.
         let eff = run(
@@ -2847,20 +2576,20 @@ mod tests {
             &mut nt,
             StoreMsg::BulkGet {
                 shard: 1,
-                digest,
+                digest: root,
                 tag: 7,
             },
         );
         let [(
             to,
-            StoreMsg::BulkGetAck {
+            StoreMsg::FragGetAck {
                 tag: 7,
-                bytes: Some(served),
+                frag: Some((0, served, _)),
                 ..
             },
         )] = eff.sends()
         else {
-            panic!("expected one BulkGetAck, got {:?}", eff.sends());
+            panic!("expected one FragGetAck, got {:?}", eff.sends());
         };
         assert_eq!(*to, client);
         assert_eq!(served.as_ref(), bytes.as_ref());
@@ -2869,11 +2598,10 @@ mod tests {
     /// The deployment guard refuses every wire-controlled lie the bulk
     /// plane could otherwise be fed: fragments with a foreign index
     /// (pre-seeding a correct replica with another replica's fragment
-    /// to poison push-quorum acks), degenerate `total = 1` dispersals
-    /// (which collapse the commitment check to a digest check and could
-    /// shadow a blob), fragments on a whole-copy deployment, and puts
-    /// for shards outside this replica's window (unbounded retention
-    /// state).
+    /// to poison push-quorum acks), forged dispersal shapes (`total = 1`
+    /// or `0` instead of the deployment's window), puts for shards
+    /// outside this replica's window (unbounded retention state), and
+    /// any fragment on a full-replication deployment.
     #[test]
     fn bulk_guard_refuses_foreign_indices_totals_and_shards() {
         use sbs_bulk::{encode_fragments, fragment_leaves, merkle_proof, merkle_root};
@@ -2891,17 +2619,17 @@ mod tests {
         let mut rng = DetRng::from_seed(5);
         let mut nt = 0u64;
 
-        // Fleet slot 1 of 9, 4 shards, coded 2-of-3: shard 1's window is
-        // slots {1, 2, 3}, so this server's position (= fragment index)
-        // for shard 1 is 0.
+        // Fleet slot 1 of 9, 4 shards, 3-replica windows: shard 1's
+        // window is slots {1, 2, 3}, so this server's position (=
+        // fragment index) for shard 1 is 0.
         let mut node: StoreServerNode<P, ServerNode<P, ()>> =
-            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3, true);
+            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3);
         let payload = vec![3u8; 64];
         let frags = encode_fragments(&payload, 2, 3);
         let leaves = fragment_leaves(&frags);
         let root = merkle_root(&leaves);
-        let frag_put = |index: usize| StoreMsg::FragPut {
-            shard: 1,
+        let frag_put = |shard: u32, index: usize| StoreMsg::FragPut {
+            shard,
             root,
             index: index as u32,
             total: 3,
@@ -2911,31 +2639,38 @@ mod tests {
 
         // A *different replica's* fragment — commitment-valid, wrong
         // index for this slot — is refused unacked.
-        let eff = run(&mut node, &mut rng, &mut nt, frag_put(1));
+        let eff = run(&mut node, &mut rng, &mut nt, frag_put(1, 1));
         assert!(eff.sends().is_empty(), "foreign index must not be acked");
         assert_eq!(node.frag_store().fragment_count(), 0);
 
-        // The degenerate total=1 forgery (bytes hashing straight to some
-        // blob digest) is refused by the shape pin.
+        // Forged shapes are refused by the shape pin: a `total = 1`
+        // "dispersal" of bytes hashing straight to the announced root,
+        // and the shapeless `total = 0` push of the garbage generator.
         let blob: SharedBytes = b"a whole blob".to_vec().into();
         let d = digest_of(&blob);
-        let eff = run(
-            &mut node,
-            &mut rng,
-            &mut nt,
-            StoreMsg::FragPut {
-                shard: 1,
-                root: d,
-                index: 0,
-                total: 1,
-                bytes: blob.clone(),
-                proof: Vec::new(),
-            },
-        );
-        assert!(eff.sends().is_empty(), "total=1 forgery must be refused");
+        for total in [1, 0] {
+            let eff = run(
+                &mut node,
+                &mut rng,
+                &mut nt,
+                StoreMsg::FragPut {
+                    shard: 1,
+                    root: d,
+                    index: 0,
+                    total,
+                    bytes: blob.clone(),
+                    proof: Vec::new(),
+                },
+            );
+            assert!(
+                eff.sends().is_empty(),
+                "total={total} forgery must be refused"
+            );
+        }
+        assert_eq!(node.frag_store().fragment_count(), 0);
 
         // This replica's own fragment is stored and acked.
-        let eff = run(&mut node, &mut rng, &mut nt, frag_put(0));
+        let eff = run(&mut node, &mut rng, &mut nt, frag_put(1, 0));
         assert!(matches!(
             eff.sends(),
             [(_, StoreMsg::FragPutAck { index: 0, .. })]
@@ -2944,79 +2679,21 @@ mod tests {
         // Puts outside the deployment: nonexistent shard, and a shard
         // whose window skips this slot (shard 2's window is {2, 3, 4}).
         for bad_shard in [9u32, 2] {
-            let eff = run(
-                &mut node,
-                &mut rng,
-                &mut nt,
-                StoreMsg::BulkPut {
-                    shard: bad_shard,
-                    digest: d,
-                    bytes: blob.clone(),
-                },
-            );
+            let eff = run(&mut node, &mut rng, &mut nt, frag_put(bad_shard, 0));
             assert!(eff.sends().is_empty(), "shard {bad_shard} must be refused");
         }
+        assert_eq!(node.frag_store().fragment_count(), 1);
 
-        // Regression (REVIEW of ISSUE 5): a coded deployment refuses
-        // whole-blob puts even for an in-window shard — pre-fix a
-        // digest-passing blob was stored and, served blob-first, could
-        // permanently shadow a committed dispersal root.
-        let eff = run(
-            &mut node,
-            &mut rng,
-            &mut nt,
-            StoreMsg::BulkPut {
-                shard: 1,
-                digest: d,
-                bytes: blob.clone(),
-            },
-        );
+        // A full-replication deployment (no data window) refuses every
+        // fragment.
+        let mut full: StoreServerNode<P, ServerNode<P, ()>> =
+            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 0);
+        let eff = run(&mut full, &mut rng, &mut nt, frag_put(1, 0));
         assert!(
             eff.sends().is_empty(),
-            "blob puts on a coded deployment must be refused"
+            "fragments on full replication refused"
         );
-        assert_eq!(node.bulk().blob_count(), 0);
-
-        // A whole-copy deployment (coded = false) refuses every FragPut,
-        // and a stored blob cannot be shadowed by the fragment plane.
-        let mut full: StoreServerNode<P, ServerNode<P, ()>> =
-            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3, false);
-        run(
-            &mut full,
-            &mut rng,
-            &mut nt,
-            StoreMsg::BulkPut {
-                shard: 1,
-                digest: d,
-                bytes: blob.clone(),
-            },
-        );
-        assert!(full.bulk().holds(&d));
-        let eff = run(&mut full, &mut rng, &mut nt, frag_put(0));
-        assert!(eff.sends().is_empty(), "fragments on a blob plane refused");
-        let eff = run(
-            &mut full,
-            &mut rng,
-            &mut nt,
-            StoreMsg::BulkGet {
-                shard: 1,
-                digest: d,
-                tag: 3,
-            },
-        );
-        assert!(
-            matches!(
-                eff.sends(),
-                [(
-                    _,
-                    StoreMsg::BulkGetAck {
-                        bytes: Some(b),
-                        ..
-                    }
-                )] if b.as_ref() == blob.as_ref()
-            ),
-            "the blob answers, never a shadowing fragment"
-        );
+        assert_eq!(full.frag_store().fragment_count(), 0);
     }
 
     /// Regression (REVIEW of ISSUE 5, write liveness): shard windows
@@ -3044,7 +2721,7 @@ mod tests {
         let mut rng = DetRng::from_seed(13);
         let mut nt = 0u64;
         let mut node: StoreServerNode<P, ServerNode<P, ()>> =
-            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3, true);
+            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3);
 
         let payload = vec![8u8; 64];
         let frags = encode_fragments(&payload, 2, 3);
@@ -3115,6 +2792,9 @@ mod tests {
         }
     }
 
+    /// A Byzantine data replica stores honestly but serves garbage: a
+    /// held fragment comes back garbled (never root-verifying), and a
+    /// miss comes back as a fabricated fragment instead of a miss.
     #[test]
     fn byzantine_bulk_server_serves_garbled_bytes() {
         use sbs_core::ServerNode;
@@ -3124,37 +2804,52 @@ mod tests {
         let mut rng = DetRng::from_seed(3);
         let mut nt = 0u64;
         let bytes: SharedBytes = b"honest bytes".to_vec().into();
-        let digest = digest_of(&bytes);
+        let frags = encode_fragments(&bytes, 1, 3);
+        let tree = MerkleTree::build(&fragment_leaves(&frags));
+        let root = tree.root();
 
         let mut eff: Effects<StoreMsg<P>, ()> = Effects::new();
         let mut ctx = Context::new(SimTime::ZERO, ProcessId(9), &mut rng, &mut nt, &mut eff);
         node.on_message(
             ProcessId(0),
-            StoreMsg::BulkPut {
+            StoreMsg::FragPut {
                 shard: 0,
-                digest,
-                bytes: bytes.clone(),
+                root,
+                index: 0,
+                total: 3,
+                bytes: frags[0].clone(),
+                proof: tree.proof(0),
             },
             &mut ctx,
         );
-        node.on_message(
-            ProcessId(0),
-            StoreMsg::BulkGet {
-                shard: 0,
-                digest,
-                tag: 1,
-            },
-            &mut ctx,
-        );
-        let served = eff
+        for digest in [root, digest_of(b"never stored")] {
+            node.on_message(
+                ProcessId(0),
+                StoreMsg::BulkGet {
+                    shard: 0,
+                    digest,
+                    tag: 1,
+                },
+                &mut ctx,
+            );
+        }
+        let served: Vec<(u32, SharedBytes, Vec<BulkDigest>)> = eff
             .sends()
             .iter()
-            .find_map(|(_, m)| match m {
-                StoreMsg::BulkGetAck { bytes, .. } => bytes.clone(),
+            .filter_map(|(_, m)| match m {
+                StoreMsg::FragGetAck { frag, .. } => frag.clone(),
                 _ => None,
             })
-            .expect("byz replica still replies");
-        assert_ne!(served, bytes, "byz replica must serve wrong bytes");
-        assert_ne!(digest_of(&served), digest, "…which can never digest-pass");
+            .collect();
+        assert_eq!(served.len(), 2, "byz replica answers hits and misses alike");
+        let (index, garbled, proof) = &served[0];
+        assert_ne!(garbled, &bytes, "byz replica must serve wrong bytes");
+        assert!(
+            !verify_fragment(root, 3, *index as usize, garbled, proof),
+            "…which can never verify against the root"
+        );
+        let (_, fabricated, proof) = &served[1];
+        assert_eq!(fabricated.len(), 16, "a miss is answered with filler");
+        assert!(proof.is_empty());
     }
 }

@@ -35,10 +35,9 @@ pub enum StoreVal<V> {
     /// one shared allocation per published snapshot.
     Inline(Arc<ShardMap<V>>),
     /// A content-addressed reference; the bytes live on the data
-    /// replicas. The digest is the payload's content address under the
-    /// whole-copy bulk plane, or the Merkle **commitment root** of the
-    /// fragment set under the erasure-coded plane — either way a
-    /// fixed-size stand-in the fetch path re-verifies end to end.
+    /// replicas. The digest is the Merkle **commitment root** of the
+    /// fragment set (whole copies included, as the `k = 1` dispersal) —
+    /// a fixed-size stand-in the fetch path re-verifies end to end.
     Ref(BulkRef),
     /// A committed routing epoch. Only the dedicated routing register
     /// (`RegId(shards)`) ever holds this variant: a reshard coordinator

@@ -53,7 +53,7 @@ fn acceptance_bulk_1000op_ycsb_b_with_byzantine_data_replica() {
         report_bulk.completed, 1000,
         "bulk mode must survive the Byzantine data replica"
     );
-    assert_eq!(sys_bulk.plane(), DataPlane::Bulk { replicas: 3 });
+    assert_eq!(sys_bulk.plane(), DataPlane::Coded { replicas: 3, k: 1 });
 
     // Identical per-key atomicity verdicts on identical seeds.
     let checked_full = sys_full
@@ -189,30 +189,8 @@ fn byzantine_data_replica_never_corrupts_a_get() {
     }
 }
 
-/// `data_replicas` below 2t+1 is an experiment knob, not a default: the
-/// builder accepts it, and an honest-only fleet still works with a single
-/// data replica (no Byzantine tolerance claimed).
-#[test]
-fn single_data_replica_works_without_byzantine_faults() {
-    let mut sys: StoreSystem<u64> = StoreBuilder::asynchronous(1)
-        .seed(5)
-        .shards(2)
-        .data_replicas(1)
-        .build();
-    sys.put("alpha", 11);
-    assert!(sys.settle());
-    sys.get(0, "alpha");
-    assert!(sys.settle());
-    let h = sys.history_for_key("alpha");
-    assert_eq!(h.reads().next().unwrap().kind.value(), &Some(11));
-    let placement = sys.bulk_placement();
-    for holders in placement.values() {
-        assert_eq!(holders.len(), 1);
-    }
-}
-
-/// The erasure-coded acceptance run (ISSUE 5): full replication vs the
-/// whole-copy bulk plane vs the AVID-style coded plane on identical
+/// The erasure-coded acceptance run: full replication vs whole copies
+/// (`k = 1`) vs `k = 2` dispersal on identical
 /// seeds, 1 KiB values, with a Byzantine server that is also a data
 /// replica garbling every fragment it serves. The coded run must (a) be
 /// differentially equivalent to full replication, write sequence by
@@ -284,8 +262,8 @@ fn coded_acceptance_equivalent_to_full_and_cuts_per_replica_bytes() {
             );
         }
     }
-    // And the coded wire traffic is cheaper too: every BULK_PUT ships a
-    // whole snapshot to each of 3 replicas, every FRAG_PUT half of one.
+    // And the k = 2 wire traffic is cheaper too: a k = 1 push ships a
+    // whole snapshot to each of 3 replicas, a k = 2 push half of one.
     assert!(
         report_bulk.bulk_bytes as f64 / report_coded.bulk_bytes as f64 > 1.3,
         "fragment dispersal must cut bulk-plane wire bytes: {} vs {}",
@@ -336,25 +314,40 @@ fn oversized_coded_threshold_is_refused_at_build() {
     let _: StoreSystem<u64> = StoreBuilder::asynchronous(1).bulk_coded(3).build();
 }
 
-/// Regression (REVIEW of ISSUE 5): the coded-plane knobs commute —
+/// The same `k + t ≤ replicas` rule covers whole copies (`k = 1`): with
+/// t = 1 a single data replica could never collect the `t + 1` push
+/// acknowledgements Byzantine tolerance needs, so the window must hold
+/// at least `t + 1` replicas.
+#[test]
+#[should_panic(expected = "coded reconstruction threshold")]
+fn single_data_replica_is_refused_at_build() {
+    let _: StoreSystem<u64> = StoreBuilder::asynchronous(1).data_replicas(1).build();
+}
+
+/// Regression: the bulk-plane knobs commute —
 /// `.bulk_coded(k).data_replicas(m)` must configure the same deployment
-/// as the documented `.data_replicas(m).bulk_coded(k)` AVID recipe.
-/// Pre-fix, `data_replicas` unconditionally reset the plane to whole
-/// copies, silently discarding `k`: the reversed call order built a
-/// full-copy store with a `t + 1` push quorum and none of the
-/// configured storage cut.
+/// as the documented `.data_replicas(m).bulk_coded(k)` AVID recipe
+/// (a `data_replicas` that reset the plane would silently discard `k`).
+/// `.bulk()` is exactly `.bulk_coded(1)`: whole copies are the `k = 1`
+/// dispersal.
 #[test]
 fn coded_knobs_commute_with_data_replicas() {
     let a = StoreBuilder::asynchronous(1).data_replicas(4).bulk_coded(2);
     let b = StoreBuilder::asynchronous(1).bulk_coded(2).data_replicas(4);
     assert_eq!(a.config().plane, DataPlane::Coded { replicas: 4, k: 2 });
     assert_eq!(b.config().plane, a.config().plane);
-    // `.bulk()` stays an explicit whole-copy selection, coded or not.
+    let whole = StoreBuilder::asynchronous(1).bulk();
+    assert_eq!(whole.config().plane, DataPlane::Coded { replicas: 3, k: 1 });
+    assert_eq!(
+        whole.config().plane,
+        StoreBuilder::asynchronous(1).bulk_coded(1).config().plane
+    );
+    // `.bulk()` after `.bulk_coded(k)` selects whole copies again.
     let c = StoreBuilder::asynchronous(1).bulk_coded(2).bulk();
-    assert_eq!(c.config().plane, DataPlane::Bulk { replicas: 3 });
+    assert_eq!(c.config().plane, DataPlane::Coded { replicas: 3, k: 1 });
 }
 
-/// Regression (ISSUE 5): a `BulkGetAck` carrying a *superseded* fetch
+/// Regression: a `FragGetAck` carrying a *superseded* fetch
 /// tag — a late reply from an earlier retransmission round — must be
 /// ignored entirely, not counted toward the current round's `bad`
 /// threshold. Counting it would make harmless stragglers trigger the
@@ -402,11 +395,11 @@ fn stale_fetch_tag_replies_are_ignored() {
             .with_node::<StoreClientNode<u64>, _>(client, |n, ctx| {
                 n.on_message(
                     replica,
-                    StoreMsg::BulkGetAck {
+                    StoreMsg::FragGetAck {
                         shard,
-                        digest,
+                        root: digest,
                         tag: tag.wrapping_sub(1),
-                        bytes: Some(vec![j as u8; 8].into()),
+                        frag: Some((j as u32, vec![j as u8; 8].into(), Vec::new())),
                     },
                     ctx,
                 );
@@ -426,11 +419,11 @@ fn stale_fetch_tag_replies_are_ignored() {
         .with_node::<StoreClientNode<u64>, _>(client, |n, ctx| {
             n.on_message(
                 replicas[0],
-                StoreMsg::BulkGetAck {
+                StoreMsg::FragGetAck {
                     shard,
-                    digest,
+                    root: digest,
                     tag,
-                    bytes: Some(vec![0xEE; 8].into()),
+                    frag: Some((0, vec![0xEE; 8].into(), Vec::new())),
                 },
                 ctx,
             );
@@ -498,11 +491,11 @@ fn fetch_bad_tally_counts_replicas_not_replies() {
             .with_node::<StoreClientNode<u64>, _>(client, |n, ctx| {
                 n.on_message(
                     spammer,
-                    StoreMsg::BulkGetAck {
+                    StoreMsg::FragGetAck {
                         shard,
-                        digest,
+                        root: digest,
                         tag,
-                        bytes: Some(vec![burst; 8].into()),
+                        frag: Some((0, vec![burst; 8].into(), Vec::new())),
                     },
                     ctx,
                 );
@@ -515,11 +508,11 @@ fn fetch_bad_tally_counts_replicas_not_replies() {
         .with_node::<StoreClientNode<u64>, _>(client, |n, ctx| {
             n.on_message(
                 outsider,
-                StoreMsg::BulkGetAck {
+                StoreMsg::FragGetAck {
                     shard,
-                    digest,
+                    root: digest,
                     tag,
-                    bytes: Some(vec![0xEE; 8].into()),
+                    frag: Some((5, vec![0xEE; 8].into(), Vec::new())),
                 },
                 ctx,
             );

@@ -245,7 +245,7 @@ fn store_config_quorum_constants_frozen_snapshot() {
 
     // The bulk plane shows up in the snapshot.
     let b = StoreBuilder::asynchronous(1).bulk().config();
-    assert_eq!(b.plane, DataPlane::Bulk { replicas: 3 });
+    assert_eq!(b.plane, DataPlane::Coded { replicas: 3, k: 1 });
 }
 
 /// A Byzantine index naming no server must fail loudly at build time —
