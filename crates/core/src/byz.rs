@@ -113,7 +113,10 @@ impl<P: Payload, O: 'static> Node for ByzServerNode<P, O> {
                 for (to, mut m) in sends {
                     // Alternate per payload-carrying reply; session acks
                     // have nothing to lie about.
-                    if matches!(m, RegMsg::AckWrite { .. } | RegMsg::AckRead { .. }) {
+                    if matches!(
+                        m,
+                        RegMsg::AckWrite { .. } | RegMsg::AckRead { .. } | RegMsg::AckProbe { .. }
+                    ) {
                         self.flip = !self.flip;
                         if self.flip {
                             scramble_payload(&mut m, ctx.rng());
@@ -136,12 +139,7 @@ impl<P: Payload, O: 'static> Node for ByzServerNode<P, O> {
                 self.track_writes(&msg);
                 let sends = self.honest_sends(from, msg, ctx);
                 for (to, mut m) in sends {
-                    if let RegMsg::AckRead { reg, last, helping } = &mut m {
-                        if let Some(first) = self.first_seen.get(reg) {
-                            *last = first.clone();
-                        }
-                        *helping = None;
-                    }
+                    replay_without_help(&mut m, &self.first_seen);
                     ctx.send(to, m);
                 }
             }
@@ -149,12 +147,7 @@ impl<P: Payload, O: 'static> Node for ByzServerNode<P, O> {
                 self.track_writes(&msg);
                 let sends = self.honest_sends(from, msg, ctx);
                 for (to, mut m) in sends {
-                    if let RegMsg::AckRead { reg, last, helping } = &mut m {
-                        if let Some(prev) = self.previous.get(reg) {
-                            *last = prev.clone();
-                        }
-                        *helping = None;
-                    }
+                    replay_without_help(&mut m, &self.previous);
                     ctx.send(to, m);
                 }
             }
@@ -204,6 +197,21 @@ impl<P: Payload, O: 'static> ByzServerNode<P, O> {
     }
 }
 
+/// Rewrites a read acknowledgement to report `replay`'s value for its
+/// register as `last_val` (when there is one) and ⊥ as the helping value.
+fn replay_without_help<P: Payload>(msg: &mut RegMsg<P>, replay: &HashMap<RegId, P>) {
+    match msg {
+        RegMsg::AckRead { reg, last, helping } => {
+            if let Some(v) = replay.get(reg) {
+                *last = v.clone();
+            }
+            *helping = None;
+        }
+        RegMsg::AckProbe { helping, .. } => *helping = None,
+        _ => {}
+    }
+}
+
 fn scramble_payload<P: Payload>(msg: &mut RegMsg<P>, rng: &mut DetRng) {
     match msg {
         RegMsg::AckWrite { helping, .. } => {
@@ -219,6 +227,9 @@ fn scramble_payload<P: Payload>(msg: &mut RegMsg<P>, rng: &mut DetRng) {
                 h.scramble(rng);
             }
         }
+        RegMsg::AckProbe {
+            helping: Some(h), ..
+        } => h.scramble(rng),
         // Session acks and client-bound requests pass through: lying about
         // tags is modelled by AckFlood.
         _ => {}
@@ -228,6 +239,7 @@ fn scramble_payload<P: Payload>(msg: &mut RegMsg<P>, rng: &mut DetRng) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::ReadKind;
     use sbs_sim::SimTime;
 
     fn drive(
@@ -261,8 +273,36 @@ mod tests {
         RegMsg::Read {
             reg: RegId(0),
             tag,
-            new_read: false,
+            kind: ReadKind::Again,
         }
+    }
+
+    fn probe_msg(tag: u64) -> RegMsg<u64> {
+        RegMsg::Read {
+            reg: RegId(0),
+            tag,
+            kind: ReadKind::Probe,
+        }
+    }
+
+    fn help_msg(tag: u64, val: u64) -> RegMsg<u64> {
+        RegMsg::NewHelpVal {
+            reg: RegId(0),
+            tag,
+            val,
+            readers: vec![R],
+        }
+    }
+
+    /// The helping value of the probe ack among `sends`.
+    fn probe_help(sends: &[(ProcessId, RegMsg<u64>)]) -> Option<u64> {
+        sends
+            .iter()
+            .find_map(|(_, m)| match m {
+                RegMsg::AckProbe { helping, .. } => Some(*helping),
+                _ => None,
+            })
+            .expect("the probe must be answered with a probe ack")
     }
 
     #[test]
@@ -360,5 +400,45 @@ mod tests {
             honest > 0 && garbled > 0,
             "honest={honest} garbled={garbled}"
         );
+    }
+
+    #[test]
+    fn stale_replay_and_inversion_helper_deny_help_to_the_probe() {
+        for strategy in [ByzStrategy::StaleReplay, ByzStrategy::InversionHelper] {
+            let mut node = ByzServerNode::new(strategy.clone(), 0u64);
+            let _ = drive(&mut node, W, write_msg(1, 10), SimTime::ZERO);
+            let _ = drive(&mut node, W, help_msg(2, 10), SimTime::ZERO);
+            let sends = drive(&mut node, R, probe_msg(3), SimTime::ZERO);
+            assert_eq!(probe_help(&sends), None, "{strategy:?} answers ⊥");
+        }
+        // An honest server would have helped.
+        let mut honest = ByzServerNode::new(ByzStrategy::CrashAt(SimTime::MAX), 0u64);
+        let _ = drive(&mut honest, W, help_msg(1, 10), SimTime::ZERO);
+        let sends = drive(&mut honest, R, probe_msg(2), SimTime::ZERO);
+        assert_eq!(probe_help(&sends), Some(10));
+    }
+
+    #[test]
+    fn equivocate_alternates_over_probe_acks() {
+        let mut node = ByzServerNode::new(ByzStrategy::Equivocate, 0u64);
+        let _ = drive(&mut node, W, help_msg(1, 42), SimTime::ZERO);
+        let helps: Vec<Option<u64>> = (10..20)
+            .map(|tag| probe_help(&drive(&mut node, R, probe_msg(tag), SimTime::ZERO)))
+            .collect();
+        let honest = helps.iter().filter(|h| **h == Some(42)).count();
+        assert_eq!(honest, 5, "every other probe ack is honest: {helps:?}");
+    }
+
+    #[test]
+    fn garbage_scrambles_only_what_a_probe_ack_carries() {
+        let mut node = ByzServerNode::new(ByzStrategy::RandomGarbage, 0u64);
+        let _ = drive(&mut node, W, help_msg(1, 42), SimTime::ZERO);
+        let sends = drive(&mut node, R, probe_msg(2), SimTime::ZERO);
+        let help = probe_help(&sends).expect("a scrambled value is still a value");
+        assert_ne!(help, 42, "helping value garbled (deterministic seed)");
+        // ⊥ has nothing to scramble: the ack keeps its shape.
+        let mut fresh = ByzServerNode::new(ByzStrategy::RandomGarbage, 0u64);
+        let sends = drive(&mut fresh, R, probe_msg(1), SimTime::ZERO);
+        assert_eq!(probe_help(&sends), None);
     }
 }

@@ -23,7 +23,7 @@
 
 use crate::clientlink::ClientLink;
 use crate::config::{RegId, RegisterConfig};
-use crate::msg::RegMsg;
+use crate::msg::{ReadKind, RegMsg};
 use crate::value::Payload;
 use sbs_link::SsTag;
 use sbs_sim::{Context, DetRng, ProcessId, TimerId};
@@ -356,12 +356,13 @@ pub struct ReadEngine<P> {
 enum RPhase<P> {
     Idle,
     Round {
-        /// True while executing the N2–N7 probe of the atomic variant.
-        sanity: bool,
-        /// The `new_read` flag this round was broadcast with.
-        new_read: bool,
+        /// The round's `READ` kind; `Probe` while executing the N2–N7
+        /// probe of the atomic variant.
+        kind: ReadKind,
         tag: SsTag,
-        acks: BTreeMap<ProcessId, (P, Option<P>)>,
+        /// `(last_val, helping_val)` per server. The probe keeps no
+        /// `last_val` (`None`); a loop round keeps no ack without one.
+        acks: BTreeMap<ProcessId, (Option<P>, Option<P>)>,
         timer: TimerId,
         timed_out: bool,
     },
@@ -398,7 +399,8 @@ impl<P: Payload> ReadEngine<P> {
         self.rounds = 0;
     }
 
-    /// Begins the sanity probe (line N2: ss-broadcast READ(false)).
+    /// Begins the sanity probe (line N2: ss-broadcast READ(false), sent
+    /// as a probe `READ` so servers answer without `last_val`).
     pub fn start_sanity<O: 'static>(
         &mut self,
         link: &mut ClientLink,
@@ -406,7 +408,7 @@ impl<P: Payload> ReadEngine<P> {
     ) {
         assert!(self.is_idle(), "reader is sequential; read already active");
         self.rounds = 0;
-        self.broadcast_round(true, false, link, ctx);
+        self.broadcast_round(ReadKind::Probe, link, ctx);
     }
 
     /// Begins the read loop (line 07: new_read ← true; line 09).
@@ -416,10 +418,11 @@ impl<P: Payload> ReadEngine<P> {
         ctx: &mut Context<'_, RegMsg<P>, O>,
     ) {
         assert!(self.is_idle(), "reader is sequential; read already active");
-        self.broadcast_round(false, true, link, ctx);
+        self.broadcast_round(ReadKind::New, link, ctx);
     }
 
-    /// Feeds one `ACK_READ`.
+    /// Feeds one `ACK_READ`. The probe counts it with its helping value
+    /// only (lines N4–N5).
     pub fn on_ack_read(
         &mut self,
         from: ProcessId,
@@ -428,10 +431,43 @@ impl<P: Payload> ReadEngine<P> {
         helping: Option<P>,
         anchored: Option<SsTag>,
     ) {
-        if let RPhase::Round { tag, acks, .. } = &mut self.phase {
-            if reg == self.reg && anchored == Some(*tag) {
-                acks.entry(from).or_insert((last, helping));
+        self.record(from, reg, Some(last), helping, anchored);
+    }
+
+    /// Feeds one `ACK_PROBE`. Only the probe counts it: the read loop
+    /// needs `last_val`, so to a loop round a server answering this way
+    /// is as good as silent.
+    pub fn on_ack_probe(
+        &mut self,
+        from: ProcessId,
+        reg: RegId,
+        helping: Option<P>,
+        anchored: Option<SsTag>,
+    ) {
+        self.record(from, reg, None, helping, anchored);
+    }
+
+    fn record(
+        &mut self,
+        from: ProcessId,
+        reg: RegId,
+        last: Option<P>,
+        helping: Option<P>,
+        anchored: Option<SsTag>,
+    ) {
+        if let RPhase::Round {
+            kind, tag, acks, ..
+        } = &mut self.phase
+        {
+            if reg != self.reg || anchored != Some(*tag) {
+                return;
             }
+            let last = match (*kind, last) {
+                (ReadKind::Probe, _) => None,
+                (_, Some(last)) => Some(last),
+                (_, None) => return,
+            };
+            acks.entry(from).or_insert((last, helping));
         }
     }
 
@@ -454,8 +490,7 @@ impl<P: Payload> ReadEngine<P> {
         ctx: &mut Context<'_, RegMsg<P>, O>,
     ) -> Option<ReadProgress<P>> {
         let RPhase::Round {
-            sanity,
-            new_read,
+            kind,
             tag,
             acks,
             timer,
@@ -468,15 +503,14 @@ impl<P: Payload> ReadEngine<P> {
             timed_out || acks.len() >= self.cfg.n
         } else if timed_out {
             // Async retransmission: restart the same round.
-            self.broadcast_round(sanity, new_read, link, ctx);
+            self.broadcast_round(kind, link, ctx);
             return None;
         } else {
             link.is_complete(tag) && acks.len() >= self.cfg.ack_quorum()
         };
         if !ready {
             self.phase = RPhase::Round {
-                sanity,
-                new_read,
+                kind,
                 tag,
                 acks,
                 timer,
@@ -486,7 +520,7 @@ impl<P: Payload> ReadEngine<P> {
         }
         ctx.cancel_timer(timer);
 
-        if sanity {
+        if kind == ReadKind::Probe {
             // Lines N4–N5: look only at the helping values.
             let agreed = self.agreed_help(&acks, ctx.rng());
             return Some(ReadProgress::SanityDone(agreed));
@@ -500,7 +534,7 @@ impl<P: Payload> ReadEngine<P> {
             return Some(ReadProgress::Done(ReadSource::Help, p));
         }
         // Line 18: loop again (READ(false) — new_read was consumed).
-        self.broadcast_round(false, false, link, ctx);
+        self.broadcast_round(ReadKind::Again, link, ctx);
         None
     }
 
@@ -508,7 +542,9 @@ impl<P: Payload> ReadEngine<P> {
     pub fn corrupt(&mut self, rng: &mut DetRng) {
         if let RPhase::Round { acks, .. } = &mut self.phase {
             for (last, helping) in acks.values_mut() {
-                last.scramble(rng);
+                if let Some(l) = last {
+                    l.scramble(rng);
+                }
                 if let Some(h) = helping {
                     h.scramble(rng);
                 }
@@ -518,18 +554,16 @@ impl<P: Payload> ReadEngine<P> {
 
     fn broadcast_round<O: 'static>(
         &mut self,
-        sanity: bool,
-        new_read: bool,
+        kind: ReadKind,
         link: &mut ClientLink,
         ctx: &mut Context<'_, RegMsg<P>, O>,
     ) {
         self.rounds = self.rounds.saturating_add(1);
         let reg = self.reg;
-        let tag = link.broadcast(ctx, |tag| RegMsg::Read { reg, tag, new_read });
+        let tag = link.broadcast(ctx, |tag| RegMsg::Read { reg, tag, kind });
         let timer = ctx.set_timer(self.round_timer());
         self.phase = RPhase::Round {
-            sanity,
-            new_read,
+            kind,
             tag,
             acks: BTreeMap::new(),
             timer,
@@ -547,11 +581,11 @@ impl<P: Payload> ReadEngine<P> {
     /// atomic construction's `pwsn` bookkeeping then defeats.
     fn agreed_last(
         &self,
-        acks: &BTreeMap<ProcessId, (P, Option<P>)>,
+        acks: &BTreeMap<ProcessId, (Option<P>, Option<P>)>,
         rng: &mut DetRng,
     ) -> Option<P> {
         let mut counts: BTreeMap<&P, usize> = BTreeMap::new();
-        for (last, _) in acks.values() {
+        for last in acks.values().filter_map(|(last, _)| last.as_ref()) {
             *counts.entry(last).or_insert(0) += 1;
         }
         pick_quorum(counts, self.cfg.last_quorum(), rng)
@@ -559,7 +593,7 @@ impl<P: Payload> ReadEngine<P> {
 
     fn agreed_help(
         &self,
-        acks: &BTreeMap<ProcessId, (P, Option<P>)>,
+        acks: &BTreeMap<ProcessId, (Option<P>, Option<P>)>,
         rng: &mut DetRng,
     ) -> Option<P> {
         let mut counts: BTreeMap<&P, usize> = BTreeMap::new();

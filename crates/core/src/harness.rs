@@ -15,7 +15,7 @@
 
 use crate::byz::{ByzServerNode, ByzStrategy};
 use crate::config::{RegId, RegisterConfig};
-use crate::msg::{ClientOut, RegMsg};
+use crate::msg::{ClientOut, ReadKind, RegMsg};
 use crate::mwmr::{MwmrPayload, MwmrProcessNode, Triple};
 use crate::server::ServerNode;
 use crate::swsr::{
@@ -364,7 +364,11 @@ fn install_garbage_gen<P: Payload, O: 'static>(sim: &mut Simulation<RegMsg<P>, O
             2 => RegMsg::Read {
                 reg: RegId(0),
                 tag: rng.next_u64(),
-                new_read: rng.chance(0.5),
+                kind: if rng.chance(0.5) {
+                    ReadKind::New
+                } else {
+                    ReadKind::Again
+                },
             },
             3 => RegMsg::SsAck {
                 tag: rng.next_u64(),

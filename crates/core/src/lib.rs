@@ -40,7 +40,7 @@ pub mod mwmr;
 pub use clientlink::ClientLink;
 pub use config::{round_trip_timeout, RegId, RegisterConfig, SyncMode};
 pub use engine::{ReadEngine, ReadProgress, ReadSource, WriteEngine};
-pub use msg::{ClientOut, RegMsg};
+pub use msg::{ack_write_forms, ClientOut, HelpingForm, ReadKind, RegMsg};
 pub use server::{RegSlot, ServerCore, ServerNode};
 pub use swsr::{
     AtomicPolicy, AtomicReader, AtomicWriter, PlainStamp, ReadPolicy, ReaderNode, RegularPolicy,

@@ -1,5 +1,11 @@
-//! The wire protocol: the five message kinds of Figures 2/3 plus the
+//! The wire protocol: the message kinds of Figures 2/3 plus the
 //! session-layer acknowledgement, and the client-side output events.
+//!
+//! Acknowledgements never re-ship a value their receiver ignores or has
+//! just been sent: the sanity probe's `READ` is answered by an
+//! [`RegMsg::AckProbe`] without `last_val`, and an `ACK_WRITE` carries
+//! each distinct helping value once. [`HelpingForm`] is that rule;
+//! [`RegMsg::wire_size`] and the socket codec both follow it.
 //!
 //! Message payloads are generic over the stored [`Payload`] type `P`: the
 //! regular register (Figure 2) instantiates `P = V`, the practically atomic
@@ -49,9 +55,8 @@ pub enum RegMsg<P> {
         reg: RegId,
         /// Session-layer broadcast tag.
         tag: SsTag,
-        /// True on the first round of a read operation — asks the server
-        /// to reset this reader's helping slot (line 22).
-        new_read: bool,
+        /// Which round of the read this is.
+        kind: ReadKind,
     },
     /// Server → client: session-layer delivery acknowledgement. Carries the
     /// tag so the client can both complete its broadcast and anchor
@@ -68,7 +73,7 @@ pub enum RegMsg<P> {
         /// This server's helping value for each reader it knows about.
         helping: Vec<(ProcessId, Option<P>)>,
     },
-    /// Server → reader: response to `Read` (line 23).
+    /// Server → reader: response to a loop `Read` (line 23).
     AckRead {
         /// Which logical register.
         reg: RegId,
@@ -77,11 +82,85 @@ pub enum RegMsg<P> {
         /// The server's helping value for this reader (`None` = ⊥).
         helping: Option<P>,
     },
+    /// Server → reader: response to a probe `Read` (line N3). The probe
+    /// reads only helping values (lines N4–N5), so `last_val` stays home.
+    AckProbe {
+        /// Which logical register.
+        reg: RegId,
+        /// The server's helping value for this reader (`None` = ⊥).
+        helping: Option<P>,
+    },
+}
+
+/// The round a `READ` belongs to. The discriminant is the flag byte the
+/// socket codec puts on the wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReadKind {
+    /// A later loop round (line 10: `new_read` already consumed).
+    Again = 0,
+    /// The first loop round of a read: the server resets this reader's
+    /// helping slot (line 22).
+    New = 1,
+    /// The sanity probe of the atomic variant (line N2). Handled like
+    /// `Again`, answered with an [`RegMsg::AckProbe`].
+    Probe = 2,
+}
+
+/// How one helping value travels in an acknowledgement: the option flag
+/// byte of the wire encoding and what follows it. Only an `ACK_WRITE`
+/// entry can be a [`HelpingForm::Repeat`]; the other acks carry one
+/// helping value and send it as ⊥ or in full.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum HelpingForm<'a, P> {
+    /// ⊥ (flag 0, nothing follows).
+    Bottom,
+    /// The value itself (flag 1, the payload follows).
+    Full(&'a P),
+    /// A back-reference to the earlier `ACK_WRITE` entry that carries
+    /// the value in full (flag 2, a 3-byte entry index follows).
+    Repeat(usize),
+}
+
+impl<'a, P: Payload> HelpingForm<'a, P> {
+    /// The form of a lone helping value: ⊥ or in full.
+    pub fn of(helping: &'a Option<P>) -> Self {
+        helping
+            .as_ref()
+            .map_or(HelpingForm::Bottom, HelpingForm::Full)
+    }
+
+    /// Bytes on the wire, flag byte included.
+    fn size(&self) -> u64 {
+        match self {
+            HelpingForm::Bottom => 1,
+            HelpingForm::Full(v) => 1 + v.wire_size(),
+            HelpingForm::Repeat(_) => 1 + 3,
+        }
+    }
+}
+
+/// The forms of an `ACK_WRITE`'s entries: an entry whose value equals an
+/// earlier entry's refers to the first such entry, which carries it in
+/// full. Quadratic in the entry count, which is the reader count; equal
+/// values installed by one `NEW_HELP_VAL` usually share storage, so most
+/// comparisons are pointer checks.
+pub fn ack_write_forms<P: Payload>(
+    helping: &[(ProcessId, Option<P>)],
+) -> impl Iterator<Item = HelpingForm<'_, P>> {
+    helping.iter().enumerate().map(|(i, (_, h))| match h {
+        None => HelpingForm::Bottom,
+        Some(v) => helping[..i]
+            .iter()
+            .position(|(_, e)| e.as_ref() == Some(v))
+            .map_or(HelpingForm::Full(v), HelpingForm::Repeat),
+    })
 }
 
 impl<P: Payload> RegMsg<P> {
-    /// Estimated serialized size: a fixed per-message header (kind tag,
-    /// register id, session tag) plus the carried payloads' wire sizes.
+    /// Serialized size: a fixed per-message header (kind tag, register
+    /// id, session tag, count) plus the carried payloads in their
+    /// [`HelpingForm`]s. The socket codec's encoding of a message is
+    /// exactly this long.
     pub fn wire_size(&self) -> u64 {
         const HEADER: u64 = 16;
         match self {
@@ -92,15 +171,12 @@ impl<P: Payload> RegMsg<P> {
             RegMsg::Read { .. } => HEADER + 1,
             RegMsg::SsAck { .. } => HEADER,
             RegMsg::AckWrite { helping, .. } => {
-                HEADER
-                    + helping
-                        .iter()
-                        .map(|(_, h)| 5 + h.as_ref().map_or(0, Payload::wire_size))
-                        .sum::<u64>()
+                HEADER + ack_write_forms(helping).map(|f| 4 + f.size()).sum::<u64>()
             }
             RegMsg::AckRead { last, helping, .. } => {
-                HEADER + last.wire_size() + 1 + helping.as_ref().map_or(0, Payload::wire_size)
+                HEADER + last.wire_size() + HelpingForm::of(helping).size()
             }
+            RegMsg::AckProbe { helping, .. } => HEADER + HelpingForm::of(helping).size(),
         }
     }
 }
@@ -114,6 +190,7 @@ impl<P: Payload> Message for RegMsg<P> {
             RegMsg::SsAck { .. } => "SS_ACK",
             RegMsg::AckWrite { .. } => "ACK_WRITE",
             RegMsg::AckRead { .. } => "ACK_READ",
+            RegMsg::AckProbe { .. } => "ACK_PROBE",
         }
     }
 
@@ -172,7 +249,7 @@ mod tests {
         let r: RegMsg<u64> = RegMsg::Read {
             reg: RegId(0),
             tag: 3,
-            new_read: true,
+            kind: ReadKind::New,
         };
         assert_eq!(r.label(), "READ");
         assert_eq!(RegMsg::<u64>::SsAck { tag: 4 }.label(), "SS_ACK");
@@ -187,6 +264,88 @@ mod tests {
             helping: None,
         };
         assert_eq!(ar.label(), "ACK_READ");
+        let ap: RegMsg<u64> = RegMsg::AckProbe {
+            reg: RegId(0),
+            helping: None,
+        };
+        assert_eq!(ap.label(), "ACK_PROBE");
+    }
+
+    #[test]
+    fn read_kinds_share_one_size() {
+        for kind in [ReadKind::Again, ReadKind::New, ReadKind::Probe] {
+            let r: RegMsg<u64> = RegMsg::Read {
+                reg: RegId(0),
+                tag: 1,
+                kind,
+            };
+            assert_eq!(r.wire_size(), 16 + 1);
+        }
+        assert_eq!(ReadKind::Probe as u8, 2);
+    }
+
+    #[test]
+    fn probe_ack_carries_only_the_helping_value() {
+        let bottom: RegMsg<u64> = RegMsg::AckProbe {
+            reg: RegId(0),
+            helping: None,
+        };
+        assert_eq!(bottom.wire_size(), 16 + 1);
+        let help: RegMsg<u64> = RegMsg::AckProbe {
+            reg: RegId(0),
+            helping: Some(9),
+        };
+        assert_eq!(help.wire_size(), 16 + 1 + 8);
+    }
+
+    #[test]
+    fn ack_write_sends_each_distinct_value_once() {
+        let helping = vec![
+            (ProcessId(1), Some(7u64)),
+            (ProcessId(2), None),
+            (ProcessId(3), Some(7)),
+            (ProcessId(4), Some(8)),
+            (ProcessId(5), Some(8)),
+        ];
+        assert_eq!(
+            ack_write_forms(&helping).collect::<Vec<_>>(),
+            vec![
+                HelpingForm::Full(&7),
+                HelpingForm::Bottom,
+                HelpingForm::Repeat(0),
+                HelpingForm::Full(&8),
+                HelpingForm::Repeat(3),
+            ]
+        );
+        let ack = RegMsg::AckWrite {
+            reg: RegId(0),
+            helping,
+        };
+        // Five (pid, flag) entries, two full values, two 3-byte indices.
+        assert_eq!(ack.wire_size(), 16 + 5 * 5 + 2 * 8 + 2 * 3);
+    }
+
+    #[test]
+    fn ack_read_carries_last_and_the_helping_value() {
+        // A helping value equal to `last` still travels in full.
+        let same: RegMsg<u64> = RegMsg::AckRead {
+            reg: RegId(0),
+            last: 5,
+            helping: Some(5),
+        };
+        assert_eq!(same.wire_size(), 16 + 8 + 1 + 8);
+        let differ: RegMsg<u64> = RegMsg::AckRead {
+            reg: RegId(0),
+            last: 5,
+            helping: Some(6),
+        };
+        assert_eq!(differ.wire_size(), 16 + 8 + 1 + 8);
+        let bottom: RegMsg<u64> = RegMsg::AckRead {
+            reg: RegId(0),
+            last: 5,
+            helping: None,
+        };
+        assert_eq!(bottom.wire_size(), 16 + 8 + 1);
     }
 
     #[test]

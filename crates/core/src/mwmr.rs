@@ -433,6 +433,10 @@ impl<V: Payload> Node for MwmrProcessNode<V> {
                 self.read_engine
                     .on_ack_read(from, reg, last, helping, anchored);
             }
+            RegMsg::AckProbe { reg, helping } => {
+                let anchored = self.link.anchored_tag(from);
+                self.read_engine.on_ack_probe(from, reg, helping, anchored);
+            }
             RegMsg::AckWrite { reg, helping } => {
                 let anchored = self.link.anchored_tag(from);
                 self.write_engine.on_ack_write(from, reg, helping, anchored);

@@ -16,7 +16,7 @@
 //! same `n` servers implement one SWMR register per writer.
 
 use crate::config::RegId;
-use crate::msg::RegMsg;
+use crate::msg::{ReadKind, RegMsg};
 use crate::value::Payload;
 use sbs_link::{Reception, SsReceiver};
 use sbs_sim::{Context, DetRng, Node, ProcessId};
@@ -115,26 +115,35 @@ impl<P: Payload> ServerCore<P> {
                     Reception::AckOnly => ctx.send(from, RegMsg::SsAck { tag }),
                 }
             }
-            RegMsg::Read { reg, tag, new_read } => {
+            RegMsg::Read { reg, tag, kind } => {
                 match self.recv.on_payload(from, tag) {
                     Reception::DeliverAndAck => {
                         // Line 22: reset this reader's helping slot on a new read.
                         let slot = self.slot_mut(reg);
-                        if new_read {
+                        if kind == ReadKind::New {
                             slot.helping.insert(from, None);
                         }
-                        let last = slot.last.clone();
                         let helping = slot.helping.get(&from).cloned().flatten();
+                        let ack = if kind == ReadKind::Probe {
+                            // Line N3: the probe reads only helping_val.
+                            RegMsg::AckProbe { reg, helping }
+                        } else {
+                            // Line 23: ACK_READ(last_val, helping_val).
+                            let last = slot.last.clone();
+                            RegMsg::AckRead { reg, last, helping }
+                        };
                         ctx.send(from, RegMsg::SsAck { tag });
-                        // Line 23: ACK_READ(last_val, helping_val).
-                        ctx.send(from, RegMsg::AckRead { reg, last, helping });
+                        ctx.send(from, ack);
                     }
                     Reception::AckOnly => ctx.send(from, RegMsg::SsAck { tag }),
                 }
             }
             // Acknowledgements are client-bound; a server receiving one is
             // garbage from a transient fault. Drop it.
-            RegMsg::SsAck { .. } | RegMsg::AckWrite { .. } | RegMsg::AckRead { .. } => {}
+            RegMsg::SsAck { .. }
+            | RegMsg::AckWrite { .. }
+            | RegMsg::AckRead { .. }
+            | RegMsg::AckProbe { .. } => {}
         }
     }
 
@@ -301,7 +310,7 @@ mod tests {
                 RegMsg::Read {
                     reg: RegId(0),
                     tag: 2,
-                    new_read: true,
+                    kind: ReadKind::New,
                 },
                 ctx,
             );
@@ -332,7 +341,7 @@ mod tests {
                 RegMsg::Read {
                     reg: RegId(0),
                     tag: 2,
-                    new_read: false,
+                    kind: ReadKind::Again,
                 },
                 ctx,
             );
@@ -340,6 +349,43 @@ mod tests {
         assert!(matches!(
             sends[1].1,
             RegMsg::AckRead {
+                helping: Some(9),
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn probe_resets_nothing_and_answers_with_helping_only() {
+        let mut core = ServerCore::new(0u64);
+        let _ = run(&mut core, |c, ctx| {
+            c.handle(
+                W,
+                RegMsg::NewHelpVal {
+                    reg: RegId(0),
+                    tag: 1,
+                    val: 9,
+                    readers: vec![R],
+                },
+                ctx,
+            );
+        });
+        let sends = run(&mut core, |c, ctx| {
+            c.handle(
+                R,
+                RegMsg::Read {
+                    reg: RegId(0),
+                    tag: 2,
+                    kind: ReadKind::Probe,
+                },
+                ctx,
+            );
+        });
+        assert_eq!(core.slot(RegId(0)).unwrap().helping.get(&R), Some(&Some(9)));
+        assert!(matches!(sends[0].1, RegMsg::SsAck { tag: 2 }));
+        assert!(matches!(
+            sends[1].1,
+            RegMsg::AckProbe {
                 helping: Some(9),
                 ..
             }
@@ -369,7 +415,7 @@ mod tests {
                 RegMsg::Read {
                     reg: RegId(0),
                     tag: 2,
-                    new_read: true,
+                    kind: ReadKind::New,
                 },
                 ctx,
             );
@@ -441,7 +487,24 @@ mod tests {
                 },
                 ctx,
             );
+            c.handle(
+                R,
+                RegMsg::AckProbe {
+                    reg: RegId(0),
+                    helping: Some(5),
+                },
+                ctx,
+            );
+            c.handle(
+                R,
+                RegMsg::AckWrite {
+                    reg: RegId(0),
+                    helping: vec![(R, Some(5))],
+                },
+                ctx,
+            );
         });
         assert!(sends.is_empty());
+        assert!(core.slot(RegId(0)).is_none(), "no state is touched");
     }
 }

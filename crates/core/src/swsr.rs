@@ -387,6 +387,10 @@ where
                 let anchored = self.link.anchored_tag(from);
                 self.engine.on_ack_read(from, reg, last, helping, anchored);
             }
+            RegMsg::AckProbe { reg, helping } => {
+                let anchored = self.link.anchored_tag(from);
+                self.engine.on_ack_probe(from, reg, helping, anchored);
+            }
             _ => return,
         }
         self.pump(ctx);

@@ -3,7 +3,8 @@
 //! phase transitions of Figures 2/3 lines 01–18.
 
 use sbs_core::{
-    ClientLink, ReadEngine, ReadProgress, ReadSource, RegId, RegMsg, RegisterConfig, WriteEngine,
+    ClientLink, ReadEngine, ReadKind, ReadProgress, ReadSource, RegId, RegMsg, RegisterConfig,
+    WriteEngine,
 };
 use sbs_sim::{Context, DetRng, Effects, ProcessId, SimTime, TimerId};
 
@@ -171,10 +172,13 @@ fn read_loop_returns_on_last_quorum_and_reports_source() {
 
     let ((), eff) = rig.with_ctx(|ctx| eng.start_read(&mut link, ctx));
     let tag = broadcast_tag(&eff);
-    assert!(eff
-        .sends()
-        .iter()
-        .all(|(_, m)| matches!(m, RegMsg::Read { new_read: true, .. })));
+    assert!(eff.sends().iter().all(|(_, m)| matches!(
+        m,
+        RegMsg::Read {
+            kind: ReadKind::New,
+            ..
+        }
+    )));
 
     ack_session(&mut link, &srv, tag);
     for &s in &srv[..8] {
@@ -221,7 +225,7 @@ fn read_falls_back_to_helping_then_loops() {
         eff.sends().iter().all(|(_, m)| matches!(
             m,
             RegMsg::Read {
-                new_read: false,
+                kind: ReadKind::Again,
                 ..
             }
         )),
@@ -244,16 +248,116 @@ fn sanity_probe_reports_agreed_helping_without_touching_last() {
         eff.sends().iter().all(|(_, m)| matches!(
             m,
             RegMsg::Read {
-                new_read: false,
+                kind: ReadKind::Probe,
                 ..
             }
         )),
-        "the probe must not reset helping (line N2 sends READ(false))"
+        "the probe is a READ(false) marked as a probe (line N2)"
     );
     ack_session(&mut link, &srv, tag);
     for &s in &srv[..8] {
         // Unanimous last values — but the probe only looks at helping.
         eng.on_ack_read(s, RegId(0), 42, Some(9), link.anchored_tag(s));
+    }
+    let (progress, _) = rig.with_ctx(|ctx| eng.poll(&mut link, ctx));
+    assert_eq!(progress, Some(ReadProgress::SanityDone(Some(9))));
+}
+
+#[test]
+fn probe_round_counts_probe_acks_and_full_acks_by_helping_only() {
+    let cfg = RegisterConfig::asynchronous(9, 1);
+    let srv = servers(9);
+    let mut link = ClientLink::new(srv.clone(), 1);
+    let mut eng: ReadEngine<u64> = ReadEngine::new(RegId(0), cfg);
+    let mut rig = Rig::new();
+
+    let ((), eff) = rig.with_ctx(|ctx| eng.start_sanity(&mut link, ctx));
+    let tag = broadcast_tag(&eff);
+    ack_session(&mut link, &srv, tag);
+    // Four probe acks and three full acks: seven toward the round.
+    for &s in &srv[..4] {
+        eng.on_ack_probe(s, RegId(0), Some(9), link.anchored_tag(s));
+    }
+    for &s in &srv[4..7] {
+        eng.on_ack_read(s, RegId(0), 42, None, link.anchored_tag(s));
+    }
+    let (progress, _) = rig.with_ctx(|ctx| eng.poll(&mut link, ctx));
+    assert_eq!(progress, None, "seven acks: below the n - t = 8 quorum");
+    eng.on_ack_read(srv[7], RegId(0), 42, Some(9), link.anchored_tag(srv[7]));
+    let (progress, _) = rig.with_ctx(|ctx| eng.poll(&mut link, ctx));
+    assert_eq!(
+        progress,
+        Some(ReadProgress::SanityDone(Some(9))),
+        "both ack shapes count toward the probe, by helping value only"
+    );
+
+    // Full acks with unanimous last and ⊥ helping: the probe finds no
+    // agreed helping value — last_val is not a helping value.
+    let mut eng: ReadEngine<u64> = ReadEngine::new(RegId(0), cfg);
+    let ((), eff) = rig.with_ctx(|ctx| eng.start_sanity(&mut link, ctx));
+    let tag = broadcast_tag(&eff);
+    ack_session(&mut link, &srv, tag);
+    for &s in &srv[..8] {
+        eng.on_ack_read(s, RegId(0), 42, None, link.anchored_tag(s));
+    }
+    let (progress, _) = rig.with_ctx(|ctx| eng.poll(&mut link, ctx));
+    assert_eq!(progress, Some(ReadProgress::SanityDone(None)));
+}
+
+#[test]
+fn loop_round_never_counts_a_probe_ack() {
+    let cfg = RegisterConfig::asynchronous(9, 1);
+    let srv = servers(9);
+    let mut link = ClientLink::new(srv.clone(), 1);
+    let mut eng: ReadEngine<u64> = ReadEngine::new(RegId(0), cfg);
+    let mut rig = Rig::new();
+
+    let ((), eff) = rig.with_ctx(|ctx| eng.start_read(&mut link, ctx));
+    let tag = broadcast_tag(&eff);
+    ack_session(&mut link, &srv, tag);
+    // Every server answers with a probe ack carrying an agreed helping
+    // value: a loop round sees none of them.
+    for &s in &srv {
+        eng.on_ack_probe(s, RegId(0), Some(77), link.anchored_tag(s));
+    }
+    let (progress, _) = rig.with_ctx(|ctx| eng.poll(&mut link, ctx));
+    assert_eq!(progress, None, "probe acks are silence to the read loop");
+    assert_eq!(eng.rounds(), 1, "nor do they close the round");
+    // Full acks then complete it as usual; the probe acks left no trace.
+    for &s in &srv[..8] {
+        eng.on_ack_read(s, RegId(0), 5, None, link.anchored_tag(s));
+    }
+    let (progress, _) = rig.with_ctx(|ctx| eng.poll(&mut link, ctx));
+    assert_eq!(progress, Some(ReadProgress::Done(ReadSource::Last, 5)));
+}
+
+#[test]
+fn probe_acks_outside_the_probe_round_are_ignored() {
+    let cfg = RegisterConfig::asynchronous(9, 1);
+    let srv = servers(9);
+    let mut link = ClientLink::new(srv.clone(), 1);
+    let mut eng: ReadEngine<u64> = ReadEngine::new(RegId(0), cfg);
+    let mut rig = Rig::new();
+
+    // Idle: nothing to record into.
+    for &s in &srv {
+        eng.on_ack_probe(s, RegId(0), Some(3), Some(1));
+    }
+    let ((), eff) = rig.with_ctx(|ctx| eng.start_sanity(&mut link, ctx));
+    let tag = broadcast_tag(&eff);
+    // Mid-probe, acks anchored on another tag, or for another register,
+    // do not count.
+    link.on_ss_ack(srv[0], tag.wrapping_add(999));
+    eng.on_ack_probe(srv[0], RegId(0), Some(3), link.anchored_tag(srv[0]));
+    ack_session(&mut link, &srv[1..], tag);
+    for &s in &srv[1..] {
+        eng.on_ack_probe(s, RegId(4), Some(3), link.anchored_tag(s));
+    }
+    let (progress, _) = rig.with_ctx(|ctx| eng.poll(&mut link, ctx));
+    assert_eq!(progress, None, "no stray probe ack counts");
+    // The round's own acks complete it with their helping value.
+    for &s in &srv[1..] {
+        eng.on_ack_probe(s, RegId(0), Some(9), link.anchored_tag(s));
     }
     let (progress, _) = rig.with_ctx(|ctx| eng.poll(&mut link, ctx));
     assert_eq!(progress, Some(ReadProgress::SanityDone(Some(9))));

@@ -16,9 +16,13 @@
 //! - the frame length is checked against [`MAX_FRAME`] **before** any
 //!   allocation, so a malicious length prefix cannot force unbounded
 //!   memory;
-//! - every field with an illegal encoding (a wsn outside the ring, a
-//!   non-boolean flag, an unsorted shard map, a non-zero reserved
+//! - every field with an illegal encoding (a wsn outside the ring, an
+//!   unknown flag value, an unsorted shard map, a non-zero reserved
 //!   header field) is a [`DecodeError`], never a panic;
+//! - every message has exactly one encoding, so a decoded frame
+//!   re-encodes to the same bytes: a redundant form (an `ACK_WRITE`
+//!   helping value sent in full where an earlier entry carries it) is
+//!   refused;
 //! - counted substructures (batch entries, helping pairs, Merkle
 //!   proofs) are decoded against the bytes actually present — counts
 //!   never pre-size an allocation.
@@ -34,16 +38,42 @@
 //! Variable-length tails (bulk bytes, Merkle proofs, batch contents)
 //! are delimited by the frame end rather than redundant inner lengths —
 //! which is exactly how `wire_bytes` accounts them.
+//!
+//! ## Register messages
+//!
+//! A batch is a run of register messages, each a 16-byte header
+//! (`kind:u8 reg:u32 tag:u64 count:u24`) and a body:
+//!
+//! ```text
+//! WRITE         value
+//! NEW_HELP_VAL  value reader:u32 × count
+//! READ          kind:u8                  (0 again, 1 new, 2 probe)
+//! SS_ACK        —
+//! ACK_WRITE     (reader:u32 helping) × count
+//! ACK_READ      last:value option
+//! ACK_PROBE     option                   (answers a probe READ)
+//! option       := 0 (⊥) | 1 value
+//! helping      := option | 2 entry:u24
+//! ```
+//!
+//! Flag 2 is an `ACK_WRITE` back-reference ([`HelpingForm::Repeat`]):
+//! the index names the earlier entry carrying the value in full. The
+//! encoder always uses it for a repeat and the decoder refuses a full
+//! copy of a value an earlier entry holds, so each distinct value
+//! crosses the wire once per `ACK_WRITE` and decoded repeats share the
+//! first copy's storage.
 
 use sbs_bulk::{get_u32, get_u64, put_u32, put_u64, BulkCodec, BulkDigest, BulkRef, SharedBytes};
-use sbs_core::{Payload, RegId, RegMsg, SeqVal};
+use sbs_core::{ack_write_forms, HelpingForm, Payload, ReadKind, RegId, RegMsg, SeqVal};
 use sbs_stamps::RingSeq;
 use sbs_store::{RoutingEpoch, ShardMap, StoreMsg, StorePayload, StoreVal, StoreWire};
+use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-/// The codec version byte every payload starts with.
-pub const WIRE_VERSION: u8 = 1;
+/// The codec version byte every payload starts with. Version 2 added the
+/// probe `READ`, `ACK_PROBE` and repeated helping values.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Hard cap on a frame's payload length: 16 MiB. A peer announcing more
 /// is rejected before any allocation happens. Generous relative to real
@@ -66,8 +96,9 @@ pub enum DecodeError {
     BadVersion(u8),
     /// Unknown message kind byte.
     BadKind(u8),
-    /// A field holds an illegal encoding (out-of-ring wsn, non-boolean
-    /// flag, unsorted map, non-zero reserved field, …).
+    /// A field holds an illegal encoding (out-of-ring wsn, unknown flag
+    /// value, unsorted map, non-zero reserved field, a full copy of a
+    /// value the message already carries, …).
     Malformed(&'static str),
     /// The payload decoded but bytes were left over.
     Trailing,
@@ -109,6 +140,7 @@ const REG_READ: u8 = 2;
 const REG_SS_ACK: u8 = 3;
 const REG_ACK_WRITE: u8 = 4;
 const REG_ACK_READ: u8 = 5;
+const REG_ACK_PROBE: u8 = 6;
 
 /// The [`StoreWire`] codec for one deployment.
 ///
@@ -341,15 +373,16 @@ impl WireCodec {
             }
             REG_READ => {
                 reserved_zero(aux as u64, "read aux")?;
-                let new_read = match take_u8(buf)? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(DecodeError::Malformed("bool flag")),
+                let kind = match take_u8(buf)? {
+                    0 => ReadKind::Again,
+                    1 => ReadKind::New,
+                    2 => ReadKind::Probe,
+                    _ => return Err(DecodeError::Malformed("read kind")),
                 };
                 Ok(RegMsg::Read {
                     reg: RegId(reg),
                     tag,
-                    new_read,
+                    kind,
                 })
             }
             REG_SS_ACK => {
@@ -359,14 +392,33 @@ impl WireCodec {
             }
             REG_ACK_WRITE => {
                 reserved_zero(tag, "ack-write tag")?;
-                let mut helping = Vec::new();
+                let mut helping: Vec<(sbs_sim::ProcessId, Option<StorePayload<V>>)> = Vec::new();
+                // The values sent in full so far, and which entries sent
+                // them: hashing keeps the duplicate check linear in the
+                // frame's bytes whatever a peer sends.
+                let mut full = HashSet::new();
+                let mut is_full = Vec::new();
                 for _ in 0..aux {
                     let pid = sbs_sim::ProcessId(take_u32(buf)?);
-                    let val = match take_u8(buf)? {
-                        0 => None,
-                        1 => Some(self.get_payload(buf)?),
+                    let (val, sent_full) = match take_u8(buf)? {
+                        0 => (None, false),
+                        1 => {
+                            let v = self.get_payload(buf)?;
+                            if !full.insert(v.clone()) {
+                                return Err(DecodeError::Malformed("repeated helping value"));
+                            }
+                            (Some(v), true)
+                        }
+                        2 => {
+                            let j = take_u24(buf)? as usize;
+                            match helping.get(j) {
+                                Some((_, Some(v))) if is_full[j] => (Some(v.clone()), false),
+                                _ => return Err(DecodeError::Malformed("helping back-reference")),
+                            }
+                        }
                         _ => return Err(DecodeError::Malformed("option flag")),
                     };
+                    is_full.push(sent_full);
                     helping.push((pid, val));
                 }
                 Ok(RegMsg::AckWrite {
@@ -378,18 +430,35 @@ impl WireCodec {
                 reserved_zero(tag, "ack-read tag")?;
                 reserved_zero(aux as u64, "ack-read aux")?;
                 let last = self.get_payload(buf)?;
-                let helping = match take_u8(buf)? {
-                    0 => None,
-                    1 => Some(self.get_payload(buf)?),
-                    _ => return Err(DecodeError::Malformed("option flag")),
-                };
+                let helping = self.get_option(buf)?;
                 Ok(RegMsg::AckRead {
                     reg: RegId(reg),
                     last,
                     helping,
                 })
             }
+            REG_ACK_PROBE => {
+                reserved_zero(tag, "ack-probe tag")?;
+                reserved_zero(aux as u64, "ack-probe aux")?;
+                let helping = self.get_option(buf)?;
+                Ok(RegMsg::AckProbe {
+                    reg: RegId(reg),
+                    helping,
+                })
+            }
             other => Err(DecodeError::BadKind(other)),
+        }
+    }
+
+    /// A lone helping value: flag 0 (⊥) or 1 and the value.
+    fn get_option<V: Payload + BulkCodec>(
+        &self,
+        buf: &mut &[u8],
+    ) -> Result<Option<StorePayload<V>>, DecodeError> {
+        match take_u8(buf)? {
+            0 => Ok(None),
+            1 => Ok(Some(self.get_payload(buf)?)),
+            _ => Err(DecodeError::Malformed("option flag")),
         }
     }
 
@@ -424,7 +493,7 @@ impl WireCodec {
                 for _ in 0..count {
                     owners.push(take_u32(buf)?);
                 }
-                StoreVal::Routing(RoutingEpoch { epoch, owners })
+                StoreVal::Routing(Arc::new(RoutingEpoch { epoch, owners }))
             }
             _ => return Err(DecodeError::Malformed("store-val variant")),
         };
@@ -524,6 +593,7 @@ fn put_reg<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &RegMsg<StorePayload<
         RegMsg::SsAck { tag } => (REG_SS_ACK, 0, *tag, 0),
         RegMsg::AckWrite { reg, helping } => (REG_ACK_WRITE, reg.0, 0, helping.len()),
         RegMsg::AckRead { reg, .. } => (REG_ACK_READ, reg.0, 0, 0),
+        RegMsg::AckProbe { reg, .. } => (REG_ACK_PROBE, reg.0, 0, 0),
     };
     out.push(kind);
     put_u32(out, reg);
@@ -537,29 +607,33 @@ fn put_reg<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &RegMsg<StorePayload<
                 put_u32(out, r.0);
             }
         }
-        RegMsg::Read { new_read, .. } => out.push(*new_read as u8),
+        RegMsg::Read { kind, .. } => out.push(*kind as u8),
         RegMsg::SsAck { .. } => {}
         RegMsg::AckWrite { helping, .. } => {
-            for (pid, val) in helping {
+            for ((pid, _), form) in helping.iter().zip(ack_write_forms(helping)) {
                 put_u32(out, pid.0);
-                match val {
-                    None => out.push(0),
-                    Some(v) => {
-                        out.push(1);
-                        put_payload(out, v);
-                    }
-                }
+                put_helping(out, form);
             }
         }
         RegMsg::AckRead { last, helping, .. } => {
             put_payload(out, last);
-            match helping {
-                None => out.push(0),
-                Some(v) => {
-                    out.push(1);
-                    put_payload(out, v);
-                }
-            }
+            put_helping(out, HelpingForm::of(helping));
+        }
+        RegMsg::AckProbe { helping, .. } => put_helping(out, HelpingForm::of(helping)),
+    }
+}
+
+/// A helping value's flag byte and what follows it.
+fn put_helping<V: Payload + BulkCodec>(out: &mut Vec<u8>, form: HelpingForm<'_, StorePayload<V>>) {
+    match form {
+        HelpingForm::Bottom => out.push(0),
+        HelpingForm::Full(v) => {
+            out.push(1);
+            put_payload(out, v);
+        }
+        HelpingForm::Repeat(entry) => {
+            out.push(2);
+            put_u24(out, entry);
         }
     }
 }
@@ -817,10 +891,10 @@ mod tests {
             tag: 41,
             val: SeqVal::new(
                 RingSeq::new(6, sbs_stamps::PAPER_MODULUS),
-                StoreVal::Routing(RoutingEpoch {
+                StoreVal::Routing(Arc::new(RoutingEpoch {
                     epoch: 2,
                     owners: vec![1, 0, 3, 2, 1, 0, 3, 2],
-                }),
+                })),
             ),
         }]);
         let back = round_trip(&msg);

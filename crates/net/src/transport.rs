@@ -28,7 +28,7 @@ use sbs_bulk::BulkCodec;
 use sbs_core::Payload;
 use sbs_sim::{MsgInjector, ProcessId, Transport};
 use sbs_store::{StoreOut, StoreWire};
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -290,15 +290,19 @@ impl Drop for NetFabric {
 }
 
 /// One connection's read loop: preamble, then frames until the stream
-/// closes or a frame refuses to decode.
+/// closes or a frame refuses to decode. Reads go through a buffer, so a
+/// small frame's prefix and payload cost one `read` call, not two;
+/// `read_frame` still checks the announced length against `MAX_FRAME`
+/// before it allocates.
 fn reader_main<V>(
-    mut stream: TcpStream,
+    stream: TcpStream,
     codec: WireCodec,
     injector: MsgInjector<StoreWire<V>, StoreOut<V>>,
     rejects: Arc<AtomicU64>,
 ) where
     V: Payload + BulkCodec + Send + Sync,
 {
+    let mut stream = BufReader::new(stream);
     let mut preamble = [0u8; 8];
     if stream.read_exact(&mut preamble).is_err() {
         return; // shutdown poke or stray connect — nothing was claimed

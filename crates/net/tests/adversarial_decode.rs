@@ -1,13 +1,14 @@
 //! Adversarial-decode tests: the codec facing a malicious or broken
 //! peer. Truncations, flipped length prefixes, over-cap lengths, and
 //! random garble must all come back as decode errors — never a panic,
-//! never an attacker-sized allocation. Deterministically seeded, so a
-//! failure reproduces.
+//! never an attacker-sized allocation. So must every redundant form of a
+//! valid message: each message has one encoding. Deterministically
+//! seeded, so a failure reproduces.
 
 use sbs_bulk::{BulkDigest, BulkRef, SharedBytes};
-use sbs_core::{RegId, RegMsg, SeqVal};
+use sbs_core::{ReadKind, RegId, RegMsg, SeqVal};
 use sbs_net::{read_frame, DecodeError, WireCodec, MAX_FRAME};
-use sbs_sim::DetRng;
+use sbs_sim::{DetRng, ProcessId};
 use sbs_stamps::{RingSeq, PAPER_MODULUS};
 use sbs_store::{ShardMap, StoreMsg, StorePayload, StoreVal, StoreWire};
 use std::io;
@@ -41,6 +42,30 @@ fn corpus() -> Vec<Vec<u8>> {
             RegMsg::AckRead {
                 reg: RegId(2),
                 last: payload(6),
+                helping: Some(payload(4)),
+            },
+        ]),
+        StoreMsg::Batch(vec![
+            RegMsg::Read {
+                reg: RegId(1),
+                tag: 40,
+                kind: ReadKind::Probe,
+            },
+            RegMsg::AckWrite {
+                reg: RegId(1),
+                helping: vec![
+                    (ProcessId(3), Some(payload(4))),
+                    (ProcessId(4), None),
+                    (ProcessId(5), Some(payload(4))),
+                ],
+            },
+            RegMsg::AckRead {
+                reg: RegId(1),
+                last: payload(6),
+                helping: Some(payload(6)),
+            },
+            RegMsg::AckProbe {
+                reg: RegId(1),
                 helping: Some(payload(4)),
             },
         ]),
@@ -300,4 +325,223 @@ fn trailing_bytes_inside_the_payload_are_refused() {
     let len = (frame.len() - 4) as u32;
     frame[0..4].copy_from_slice(&len.to_le_bytes());
     assert!(c.decode_frame::<u64>(&frame).is_err());
+}
+
+// Register-message kind bytes, as the codec lays them out.
+const REG_READ: u8 = 2;
+const REG_ACK_WRITE: u8 = 4;
+const REG_ACK_READ: u8 = 5;
+const REG_ACK_PROBE: u8 = 6;
+
+/// A batch frame around a hand-built body.
+fn batch_frame(body: &[u8]) -> Vec<u8> {
+    let mut frame = ((2 + body.len()) as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&[sbs_net::WIRE_VERSION, 0]);
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// A register-message header: kind, reg, tag, 24-bit count.
+fn reg_header(kind: u8, reg: u32, tag: u64, count: u32) -> Vec<u8> {
+    let mut h = vec![kind];
+    h.extend_from_slice(&reg.to_le_bytes());
+    h.extend_from_slice(&tag.to_le_bytes());
+    h.extend_from_slice(&count.to_le_bytes()[..3]);
+    h
+}
+
+/// A payload's encoding, cut from an encoded `WRITE`.
+fn value_bytes(p: &StorePayload<u64>) -> Vec<u8> {
+    let msg: StoreWire<u64> = StoreMsg::Batch(vec![RegMsg::Write {
+        reg: RegId(0),
+        tag: 0,
+        val: p.clone(),
+    }]);
+    codec().encode(&msg)[6 + 16..].to_vec()
+}
+
+/// An `ACK_WRITE` body: `(reader, flag, tail)` per entry.
+fn ack_write_body(entries: &[(u32, u8, Vec<u8>)]) -> Vec<u8> {
+    let mut body = reg_header(REG_ACK_WRITE, 1, 0, entries.len() as u32);
+    for (pid, flag, tail) in entries {
+        body.extend_from_slice(&pid.to_le_bytes());
+        body.push(*flag);
+        body.extend_from_slice(tail);
+    }
+    body
+}
+
+fn index(i: u32) -> Vec<u8> {
+    i.to_le_bytes()[..3].to_vec()
+}
+
+fn refused(frame: &[u8], why: &'static str) {
+    match codec().decode_frame::<u64>(frame) {
+        Err(DecodeError::Malformed(w)) if w == why => {}
+        other => panic!("expected Malformed({why:?}), got {other:?}"),
+    }
+}
+
+/// The hand-built layouts below are the encoder's: the canonical forms
+/// decode, and the encoder reproduces them byte for byte.
+#[test]
+fn hand_built_canonical_forms_match_the_encoder() {
+    let (a, b) = (value_bytes(&payload(4)), value_bytes(&payload(6)));
+    let ack_write = batch_frame(&ack_write_body(&[
+        (3, 1, a.clone()),
+        (4, 0, vec![]),
+        (5, 2, index(0)),
+        (6, 1, b.clone()),
+        (7, 2, index(3)),
+    ]));
+    // An ACK_READ sends its helping value in full even when it equals
+    // `last`.
+    let mut ack_read = reg_header(REG_ACK_READ, 1, 0, 0);
+    ack_read.extend_from_slice(&b);
+    ack_read.push(1);
+    ack_read.extend_from_slice(&b);
+    let mut probe = reg_header(REG_ACK_PROBE, 1, 0, 0);
+    probe.push(1);
+    probe.extend_from_slice(&a);
+    for frame in [ack_write, batch_frame(&ack_read), batch_frame(&probe)] {
+        let (msg, consumed) = codec().decode_frame::<u64>(&frame).expect("canonical");
+        assert_eq!(consumed, frame.len());
+        assert_eq!(codec().encode(&msg), frame);
+    }
+}
+
+#[test]
+fn a_full_copy_where_a_repeat_is_required_is_refused() {
+    let a = value_bytes(&payload(4));
+    // ACK_WRITE: the second entry must refer back to the first.
+    refused(
+        &batch_frame(&ack_write_body(&[(3, 1, a.clone()), (4, 1, a.clone())])),
+        "repeated helping value",
+    );
+    refused(
+        &batch_frame(&ack_write_body(&[
+            (3, 1, a.clone()),
+            (4, 1, value_bytes(&payload(6))),
+            (5, 1, a.clone()),
+        ])),
+        "repeated helping value",
+    );
+}
+
+#[test]
+fn back_references_out_of_range_are_refused() {
+    let a = value_bytes(&payload(4));
+    for entries in [
+        // To itself, forward, and far past the end.
+        vec![(3, 1, a.clone()), (4, 2, index(1))],
+        vec![(3, 2, index(1)), (4, 1, a.clone())],
+        vec![(3, 1, a.clone()), (4, 2, index(0xFF_FFFF))],
+        // To a ⊥ entry, and to another back-reference.
+        vec![(3, 0, vec![]), (4, 2, index(0))],
+        vec![(3, 1, a.clone()), (4, 2, index(0)), (5, 2, index(1))],
+    ] {
+        refused(
+            &batch_frame(&ack_write_body(&entries)),
+            "helping back-reference",
+        );
+    }
+}
+
+#[test]
+fn flag_values_of_three_or_more_are_refused() {
+    let a = value_bytes(&payload(4));
+    for flag in [3u8, 4, 0x7F, 0xFF] {
+        let mut read = reg_header(REG_READ, 1, 9, 0);
+        read.push(flag);
+        refused(&batch_frame(&read), "read kind");
+        refused(
+            &batch_frame(&ack_write_body(&[(3, flag, a.clone())])),
+            "option flag",
+        );
+    }
+    // Back-references are for ACK_WRITE entries only: an ACK_READ and a
+    // probe ack carry one helping value, so their flag stops at 1.
+    for flag in [2u8, 3, 0xFF] {
+        let mut ack_read = reg_header(REG_ACK_READ, 1, 0, 0);
+        ack_read.extend_from_slice(&a);
+        ack_read.push(flag);
+        ack_read.extend_from_slice(&index(0));
+        refused(&batch_frame(&ack_read), "option flag");
+        let mut probe = reg_header(REG_ACK_PROBE, 1, 0, 0);
+        probe.push(flag);
+        probe.extend_from_slice(&a);
+        refused(&batch_frame(&probe), "option flag");
+    }
+}
+
+#[test]
+fn trailing_bytes_after_a_probe_ack_are_refused() {
+    let msg: StoreWire<u64> = StoreMsg::Batch(vec![RegMsg::AckProbe {
+        reg: RegId(1),
+        helping: Some(payload(4)),
+    }]);
+    let frame = codec().encode(&msg);
+    for extra in 1..=24usize {
+        let mut bad = frame.clone();
+        bad.extend((0..extra).map(|i| i as u8));
+        let len = (bad.len() - 4) as u32;
+        bad[0..4].copy_from_slice(&len.to_le_bytes());
+        assert!(
+            codec().decode_frame::<u64>(&bad).is_err(),
+            "{extra} trailing bytes must be refused"
+        );
+    }
+    // Reserved header fields of a probe ack are zero.
+    let mut tagged = reg_header(REG_ACK_PROBE, 1, 5, 0);
+    tagged.push(0);
+    refused(&batch_frame(&tagged), "ack-probe tag");
+    let mut counted = reg_header(REG_ACK_PROBE, 1, 0, 2);
+    counted.push(0);
+    refused(&batch_frame(&counted), "ack-probe aux");
+}
+
+/// A back-reference costs 8 bytes on the wire, so decoding one must not
+/// copy the value it names: every repeat shares the first copy's
+/// storage, whatever the payload variant.
+#[test]
+fn back_references_share_storage_instead_of_copying() {
+    let routing = SeqVal::new(
+        RingSeq::new(3, PAPER_MODULUS),
+        StoreVal::Routing(Arc::new(sbs_store::RoutingEpoch {
+            epoch: 9,
+            owners: vec![7; 4096],
+        })),
+    );
+    for value in [payload(4), routing] {
+        let entries = 10_000u32;
+        let msg: StoreWire<u64> = StoreMsg::Batch(vec![RegMsg::AckWrite {
+            reg: RegId(1),
+            helping: (0..entries)
+                .map(|r| (ProcessId(r), Some(value.clone())))
+                .collect(),
+        }]);
+        let frame = codec().encode(&msg);
+        // One full copy; every other entry is an 8-byte back-reference.
+        let value_len = value_bytes(&value).len();
+        assert_eq!(
+            frame.len(),
+            6 + 16 + 5 + value_len + 8 * (entries as usize - 1)
+        );
+        let Ok((StoreMsg::Batch(batch), _)) = codec().decode_frame::<u64>(&frame) else {
+            panic!("canonical ack must decode");
+        };
+        let RegMsg::AckWrite { helping, .. } = &batch[0] else {
+            panic!("kind preserved");
+        };
+        let first = helping[0].1.as_ref().expect("a value");
+        for (_, h) in helping {
+            let h = h.as_ref().expect("a value");
+            let shared = match (&first.val, &h.val) {
+                (StoreVal::Inline(a), StoreVal::Inline(b)) => Arc::ptr_eq(a, b),
+                (StoreVal::Routing(a), StoreVal::Routing(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            };
+            assert!(shared, "a repeat must share the first copy");
+        }
+    }
 }

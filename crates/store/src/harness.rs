@@ -12,8 +12,8 @@ use sbs_check::{
     atomic_stabilization_point, check_linearizable, History, InitialState, OpKind, OpRecord,
 };
 use sbs_core::{
-    ByzServerNode, ByzStrategy, Payload, RegId, RegMsg, RegisterConfig, SeqVal, ServerNode,
-    SyncMode,
+    ByzServerNode, ByzStrategy, Payload, ReadKind, RegId, RegMsg, RegisterConfig, SeqVal,
+    ServerNode, SyncMode,
 };
 use sbs_sim::{
     ConsistencyMonitor, DelayModel, DetRng, LatencyHistogram, LatencySummary, Node, OpId,
@@ -788,7 +788,11 @@ fn install_garbage_gen<V: Payload + BulkCodec>(
             1 => RegMsg::Read {
                 reg,
                 tag: rng.next_u64(),
-                new_read: rng.chance(0.5),
+                kind: if rng.chance(0.5) {
+                    ReadKind::New
+                } else {
+                    ReadKind::Again
+                },
             },
             2 => RegMsg::SsAck {
                 tag: rng.next_u64(),

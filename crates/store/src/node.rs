@@ -1909,7 +1909,10 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                                     let payload =
                                         WriteStamper::<StoreVal<V>, StorePayload<V>>::stamp(
                                             &mut stamper,
-                                            StoreVal::Routing(RoutingEpoch { epoch, owners }),
+                                            StoreVal::Routing(Arc::new(RoutingEpoch {
+                                                epoch,
+                                                owners,
+                                            })),
                                         );
                                     self.write_engine = WriteEngine::new(
                                         RegId(shard),
@@ -2176,6 +2179,10 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
                             let anchored = self.link.anchored_tag(from);
                             self.read_engine
                                 .on_ack_read(from, reg, last, helping, anchored);
+                        }
+                        RegMsg::AckProbe { reg, helping } => {
+                            let anchored = self.link.anchored_tag(from);
+                            self.read_engine.on_ack_probe(from, reg, helping, anchored);
                         }
                         RegMsg::AckWrite { reg, helping } => {
                             let anchored = self.link.anchored_tag(from);

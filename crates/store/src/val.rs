@@ -44,8 +44,9 @@ pub enum StoreVal<V> {
     /// writes it to flip the shard→writer assignment through the same
     /// metadata quorum that stores every shard's value, so the epoch flip
     /// inherits the register's atomicity and stabilization guarantees
-    /// with no new trust assumptions.
-    Routing(RoutingEpoch),
+    /// with no new trust assumptions. Shared like `Inline`, so every copy
+    /// of a value — a decoded back-reference included — is one pointer.
+    Routing(Arc<RoutingEpoch>),
 }
 
 impl<V: Payload> StoreVal<V> {
@@ -94,6 +95,7 @@ impl<V: Payload> Payload for StoreVal<V> {
             StoreVal::Routing(e) => {
                 // A garbled routing cell: the epoch counter and ownership
                 // vector lose all meaning, but stay structurally valid.
+                let e = Arc::make_mut(e);
                 e.epoch = rng.next_u64();
                 for w in &mut e.owners {
                     *w = (rng.next_u64() & 0xFFFF_FFFF) as u32;
@@ -196,10 +198,10 @@ mod tests {
         assert!(inline.wire_size() > 1);
         assert_eq!(r.wire_size(), 41);
         assert_eq!(StoreVal::<u64>::empty().wire_size(), 5);
-        let routing: StoreVal<u64> = StoreVal::Routing(RoutingEpoch {
+        let routing: StoreVal<u64> = StoreVal::Routing(Arc::new(RoutingEpoch {
             epoch: 3,
             owners: vec![0, 1, 2, 3, 0, 1, 2, 3],
-        });
+        }));
         // tag(1) + epoch(8) + count(4) + 4 bytes per owner.
         assert_eq!(routing.wire_size(), 1 + 8 + 4 + 32);
     }
