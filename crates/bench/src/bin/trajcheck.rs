@@ -7,6 +7,8 @@
 //! cargo bench -p sbs-bench --bench store_throughput -- --smoke
 //! cargo bench -p sbs-bench --bench bulk_vs_full -- --smoke
 //! cargo bench -p sbs-bench --bench stabilization -- --smoke
+//! cargo bench -p sbs-bench --bench net_throughput -- --smoke
+//! cargo bench -p sbs-bench --bench bulk_kernels -- --smoke
 //! cargo run --release -p sbs-bench --bin trajcheck            # gate
 //! cargo run ... --bin trajcheck -- --threshold=5              # custom
 //! ```
@@ -23,10 +25,10 @@
 //! tail catches a protocol that got uniformly slower without yet moving
 //! its p99. The simulator gates measure properties of the simulated
 //! schedule, not the host: drift means the *protocol* got chattier or
-//! slower per simulated second. The `net-wall-clock` gate is the
-//! exception — real-socket numbers move with the machine, so it carries
-//! a generous built-in threshold floor and only catches collapses (see
-//! its definition). Smoke rows with no committed
+//! slower per simulated second. The `net-wall-clock` and `bulk-kernels`
+//! gates are the exception — real-socket and kernel timings move with
+//! the machine, so they carry a generous built-in threshold floor and
+//! only catch collapses (see their definitions). Smoke rows with no committed
 //! counterpart (new configurations) are reported without failing the
 //! gate — unless *no* row of a gate matches its baseline at all, which
 //! means the identity schema drifted and that bench would otherwise
@@ -202,6 +204,21 @@ const GATES: &[Gate] = &[
         // storm, an accidental sleep) trips it — unlike the simulator
         // gates above, whose virtual-time numbers are host-independent
         // and gated tightly by `--threshold`.
+        threshold_floor: 5.0,
+        row_filter: None,
+    },
+    // The Reed–Solomon/Merkle layer bench: host nanoseconds per kernel
+    // call, so the same generous floor as the wall-clock gate — it
+    // catches a kernel falling back to per-byte work, not tuning noise.
+    Gate {
+        name: "bulk-kernels",
+        committed: "BENCH_layers.json",
+        smoke: "BENCH_layers.smoke.json",
+        id_keys: &["kernel", "case"],
+        metrics: &[Metric {
+            key: "ns_per_iter",
+            higher_is_better: false,
+        }],
         threshold_floor: 5.0,
         row_filter: None,
     },

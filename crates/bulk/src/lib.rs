@@ -10,9 +10,9 @@
 //!
 //! This crate is the protocol-independent substrate of that split:
 //!
-//! - [`BulkDigest`] / [`digest_of`] — a 256-bit wide FNV-1a content
-//!   address (in-repo, offline-friendly; see the module docs for the
-//!   adversary model it is sound against).
+//! - [`BulkDigest`] / [`digest_of`] — a 256-bit word-at-a-time content
+//!   address (four xxh64-style lanes; in-repo, offline-friendly; see the
+//!   module docs for the adversary model it is sound against).
 //! - [`BulkRef`] — the fixed-size `(digest, len)` pair the metadata
 //!   quorum carries in place of the value.
 //! - [`BulkCodec`] — deterministic byte serialization, so the same

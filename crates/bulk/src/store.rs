@@ -123,12 +123,17 @@ impl<K: Ord + Copy> Default for ShardRecency<K> {
 /// Invariants:
 /// - key `x` appears in shard `s`'s recency order iff `s` is one of its
 ///   holders (recency and holder sets never drift);
+/// - `by_holder` lists exactly the `(holder, key)` pairs of the holder
+///   sets, sorted, so a bounded slice of the holdings is a positional
+///   read instead of a rebuild;
 /// - `bytes_stored` is the sum of `len` over live entries — incremented
 ///   once when an entry is first stored, decremented once when its last
 ///   holder evicts it (never per holder, so aliasing cannot underflow it).
 #[derive(Clone, Debug)]
 struct RetainedStore<K: Ord + Copy, E> {
     entries: BTreeMap<K, Held<E>>,
+    /// Every `(holder, key)` pair, sorted (the holdings index).
+    by_holder: Vec<(u32, K)>,
     bytes_stored: u64,
     /// Distinct keys retained per shard (`None` = unbounded).
     retain: Option<usize>,
@@ -152,6 +157,7 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
         }
         RetainedStore {
             entries: BTreeMap::new(),
+            by_holder: Vec::new(),
             bytes_stored: 0,
             retain,
             recency: BTreeMap::new(),
@@ -172,6 +178,7 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
         if let Some(held) = self.entries.get_mut(&key) {
             let new_holder = held.holders.insert(shard);
             if new_holder {
+                self.index_insert(shard, key);
                 // A second shard aliasing onto the same bytes: it gets
                 // its own retention slot (and its own recency entry), so
                 // another shard's later eviction can no longer drop this
@@ -204,9 +211,16 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
                 entry: make(),
             },
         );
+        self.index_insert(shard, key);
         self.enqueue(shard, key);
         self.evict_overflow(shard);
         PutOutcome::Stored
+    }
+
+    fn index_insert(&mut self, shard: u32, key: K) {
+        if let Err(at) = self.by_holder.binary_search(&(shard, key)) {
+            self.by_holder.insert(at, (shard, key));
+        }
     }
 
     /// Appends `key` as `shard`'s most recent (retention mode only).
@@ -262,6 +276,7 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
                 let held = self.entries.remove(&evicted).expect("present above");
                 self.bytes_stored -= held.len;
             }
+            unindex(&mut self.by_holder, shard, evicted);
         }
     }
 
@@ -271,6 +286,7 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
     /// post-wipe inserts order strictly after pre-wipe history.
     fn wipe(&mut self) {
         self.entries.clear();
+        self.by_holder.clear();
         self.recency.clear();
         self.bytes_stored = 0;
     }
@@ -285,6 +301,7 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
         };
         self.bytes_stored -= held.len;
         for shard in held.holders {
+            unindex(&mut self.by_holder, shard, *key);
             if let Some(rec) = self.recency.get_mut(&shard) {
                 if let Some(seq) = rec.seq_of.remove(key) {
                     rec.by_seq.remove(&seq);
@@ -299,6 +316,13 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
             .values()
             .flat_map(|h| h.holders.iter().copied())
             .collect()
+    }
+}
+
+/// Drops `(shard, key)` from a sorted holdings index, if listed.
+fn unindex<K: Ord>(by_holder: &mut Vec<(u32, K)>, shard: u32, key: K) {
+    if let Ok(at) = by_holder.binary_search(&(shard, key)) {
+        by_holder.remove(at);
     }
 }
 
@@ -463,17 +487,28 @@ impl FragmentStore {
     }
 
     /// Every `(holder shard, commitment root)` pair this replica
-    /// retains, deduplicated (a shard's root appears once however many
-    /// indices alias onto it), in deterministic order — the raw material
-    /// for anti-entropy digest summaries.
+    /// retains, sorted — the raw material for anti-entropy digest
+    /// summaries. Each pair appears once: a shard holds at most one
+    /// index of a root (see [`FragmentStore::put`]).
     pub fn holdings(&self) -> Vec<(u32, BulkDigest)> {
-        let mut set: BTreeSet<(u32, BulkDigest)> = BTreeSet::new();
-        for ((root, _), held) in &self.inner.entries {
-            for &shard in &held.holders {
-                set.insert((shard, *root));
-            }
-        }
-        set.into_iter().collect()
+        (0..self.holdings_len()).map(|i| self.holding(i)).collect()
+    }
+
+    /// Number of `(holder shard, commitment root)` pairs retained.
+    pub fn holdings_len(&self) -> usize {
+        self.inner.by_holder.len()
+    }
+
+    /// The `i`-th pair of [`FragmentStore::holdings`], read from the
+    /// maintained index without materializing the list — the
+    /// anti-entropy tick takes a bounded rotating slice by position.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i >= holdings_len()`.
+    pub fn holding(&self, i: usize) -> (u32, BulkDigest) {
+        let (shard, (root, _)) = self.inner.by_holder[i];
+        (shard, root)
     }
 }
 
@@ -481,6 +516,7 @@ impl FragmentStore {
 mod tests {
     use super::*;
     use crate::digest_of;
+    use sbs_sim::DetRng;
 
     /// A one-fragment dispersal (`k = m = 1`) of `len` bytes of `label`:
     /// its root is the payload's content address, its proof is empty.
@@ -699,6 +735,72 @@ mod tests {
             s.put(u32::from(i % 2), di, fi);
         }
         assert_eq!(s.fragment_count(), 2);
+    }
+
+    /// The holdings a tick would have rebuilt from scratch: every
+    /// `(holder, root)` pair of the live entries, deduplicated and sorted.
+    fn rebuilt_holdings(s: &FragmentStore) -> Vec<(u32, BulkDigest)> {
+        let mut set: BTreeSet<(u32, BulkDigest)> = BTreeSet::new();
+        for ((root, _), held) in &s.inner.entries {
+            for &shard in &held.holders {
+                set.insert((shard, *root));
+            }
+        }
+        set.into_iter().collect()
+    }
+
+    /// The maintained holdings index equals the rebuilt set after every
+    /// step of random put / evict / remove / wipe sequences, with and
+    /// without retention — including coded roots held at different
+    /// indices by different shards, and re-puts under foreign shard tags.
+    #[test]
+    fn holdings_index_matches_the_rebuilt_set() {
+        use crate::{encode_fragments, fragment_leaves, MerkleTree};
+        let coded: Vec<(BulkDigest, Vec<StoredFragment>)> = (0u8..4)
+            .map(|label| {
+                let frags = encode_fragments(&[label; 60], 2, 3);
+                let tree = MerkleTree::build(&fragment_leaves(&frags));
+                let stored = (0..3)
+                    .map(|i| StoredFragment {
+                        index: i as u32,
+                        total: 3,
+                        bytes: frags[i].clone(),
+                        proof: tree.proof(i),
+                    })
+                    .collect();
+                (tree.root(), stored)
+            })
+            .collect();
+        for retain in [None, Some(1), Some(2), Some(3)] {
+            for seed in 0..4u64 {
+                let mut rng = DetRng::from_seed(0x4011 + seed);
+                let mut s = retain.map_or_else(FragmentStore::new, FragmentStore::with_retention);
+                for step in 0..600 {
+                    let shard = (rng.next_u64() % 5) as u32;
+                    match rng.next_u64() % 100 {
+                        0..=44 => {
+                            let (d, f) = whole((rng.next_u64() % 12) as u8, 20);
+                            s.put(shard, d, f);
+                        }
+                        45..=89 => {
+                            let (root, frags) = &coded[(rng.next_u64() % 4) as usize];
+                            let f = frags[(rng.next_u64() % 3) as usize].clone();
+                            s.put(shard, *root, f);
+                        }
+                        90..=97 => {
+                            let (d, _) = whole((rng.next_u64() % 12) as u8, 20);
+                            s.remove(&d);
+                        }
+                        _ => s.wipe(),
+                    }
+                    assert_eq!(
+                        s.holdings(),
+                        rebuilt_holdings(&s),
+                        "retain={retain:?} seed={seed} step={step}"
+                    );
+                }
+            }
+        }
     }
 
     /// Regression (REVIEW of ISSUE 5, write liveness): a replica shared

@@ -34,6 +34,11 @@
 //! payload := version:u8 kind:u8 body      (body length == msg.wire_bytes())
 //! ```
 //!
+//! The version byte ([`WIRE_VERSION`], now 3) covers the meaning of the
+//! bytes as well as their layout: digests and Merkle roots on the wire
+//! are `sbs_bulk` content addresses, so a change of the digest
+//! construction bumps it even when no field moves.
+//!
 //! All integers are little-endian, matching `sbs_bulk`'s [`BulkCodec`].
 //! Variable-length tails (bulk bytes, Merkle proofs, batch contents)
 //! are delimited by the frame end rather than redundant inner lengths —
@@ -72,8 +77,11 @@ use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 /// The codec version byte every payload starts with. Version 2 added the
-/// probe `READ`, `ACK_PROBE` and repeated helping values.
-pub const WIRE_VERSION: u8 = 2;
+/// probe `READ`, `ACK_PROBE` and repeated helping values. Version 3 keeps
+/// the frame layout but changes what a content address means (the bulk
+/// plane's digest construction), so a version-2 peer is refused up front
+/// instead of failing every fragment verification.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Hard cap on a frame's payload length: 16 MiB. A peer announcing more
 /// is rejected before any allocation happens. Generous relative to real

@@ -72,6 +72,22 @@ impl<V: Payload> NetLog<V> {
         }
     }
 
+    /// Every touched key's history, in sorted key order, grouped in one
+    /// pass over the completed log (each key's records keep their
+    /// completion order). Histories are built one key at a time as the
+    /// iterator advances, so a checker holds one copy of one key's
+    /// records at once.
+    fn histories(&self) -> impl Iterator<Item = (&str, History<Option<V>>)> + '_ {
+        let mut by_key: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (i, r) in self.completed.iter().enumerate() {
+            by_key.entry(&r.key).or_default().push(i);
+        }
+        by_key.into_iter().map(|(key, idx)| {
+            let records = idx.iter().map(|&i| self.completed[i].record.clone());
+            (key, History::new(records.collect()))
+        })
+    }
+
     fn fresh(&mut self, client: ProcessId, now: SimTime, key: &str, put_val: Option<V>) -> OpId {
         let op = OpId(self.next_op);
         self.next_op += 1;
@@ -597,12 +613,9 @@ impl<V: Payload + BulkCodec + Send + Sync> NetStoreSystem<V> {
     /// Every touched key's history, keyed — the input shape of
     /// `sbs_check::equivalent_write_histories`.
     pub fn histories(&self) -> BTreeMap<String, History<Option<V>>> {
-        self.keys_touched()
-            .into_iter()
-            .map(|k| {
-                let h = self.history_for_key(&k);
-                (k, h)
-            })
+        self.log
+            .histories()
+            .map(|(key, h)| (key.to_string(), h))
             .collect()
     }
 
@@ -610,8 +623,7 @@ impl<V: Payload + BulkCodec + Send + Sync> NetStoreSystem<V> {
     /// (initial state: absent), exactly like the sim harness.
     pub fn check_per_key_atomicity(&self) -> Result<usize, String> {
         let mut checked = 0;
-        for key in self.keys_touched() {
-            let h = self.history_for_key(&key);
+        for (key, h) in self.log.histories() {
             h.validate_unique_writes()
                 .map_err(|e| format!("key {key}: {e}"))?;
             let initial = InitialState::OneOf(std::iter::once(None).collect());

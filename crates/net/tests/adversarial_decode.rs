@@ -252,10 +252,18 @@ fn wrong_version_is_refused() {
     let c = codec();
     let msg: StoreWire<u64> = StoreMsg::Batch(Vec::new());
     let mut frame = c.encode(&msg);
-    frame[4] = 7; // version byte
+    assert_eq!(frame[4], 3, "version byte");
+    frame[4] = 7;
     assert!(matches!(
         c.decode_frame::<u64>(&frame),
         Err(DecodeError::BadVersion(7))
+    ));
+    // A version-2 peer frames identically but addresses content with the
+    // previous digest, so it must be refused rather than decoded.
+    frame[4] = 2;
+    assert!(matches!(
+        c.decode_frame::<u64>(&frame),
+        Err(DecodeError::BadVersion(2))
     ));
 }
 

@@ -917,6 +917,22 @@ impl<V: Payload> StoreLog<V> {
         }
     }
 
+    /// Every touched key's history, in sorted key order, grouped in one
+    /// pass over the completed log (each key's records keep their
+    /// completion order). Histories are built one key at a time as the
+    /// iterator advances, so a checker holds one copy of one key's
+    /// records at once.
+    fn histories(&self) -> impl Iterator<Item = (&str, History<Option<V>>)> + '_ {
+        let mut by_key: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (i, r) in self.completed.iter().enumerate() {
+            by_key.entry(&r.key).or_default().push(i);
+        }
+        by_key.into_iter().map(|(key, idx)| {
+            let records = idx.iter().map(|&i| self.completed[i].record.clone());
+            (key, History::new(records.collect()))
+        })
+    }
+
     fn fresh(&mut self, client: ProcessId, now: SimTime, key: &str, put_val: Option<V>) -> OpId {
         let op = OpId(self.next_op);
         self.next_op += 1;
@@ -1450,8 +1466,7 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
     pub fn stabilization_time(&self) -> Option<SimDuration> {
         let fault = self.sim.last_fault_at()?;
         let mut latest_point = SimTime::ZERO;
-        for key in self.keys_touched() {
-            let h = self.history_for_key(&key);
+        for (_, h) in self.log.histories() {
             let point = atomic_stabilization_point(&h).ok().flatten()?;
             latest_point = latest_point.max(point);
         }
@@ -1507,8 +1522,7 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
     /// such runs with `sbs_check::check_regularity` per key instead.
     pub fn check_per_key_atomicity(&self) -> Result<usize, String> {
         let mut checked = 0;
-        for key in self.keys_touched() {
-            let h = self.history_for_key(&key);
+        for (key, h) in self.log.histories() {
             h.validate_unique_writes()
                 .map_err(|e| format!("key {key}: {e}"))?;
             let initial = InitialState::OneOf(std::iter::once(None).collect());

@@ -542,7 +542,6 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     /// (forgetting previous misses, so a peer that was itself mid-wipe
     /// gets asked again), and re-arm the period timer.
     fn on_anti_entropy_tick<O>(&mut self, ctx: &mut Context<'_, StoreMsg<P>, O>) {
-        let holdings = self.frags.holdings();
         let g = self.guard;
         let frags = &self.frags;
         let Some(h) = &mut self.healer else { return };
@@ -565,14 +564,15 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
                 true
             }
         });
-        let entries: Vec<(u32, BulkDigest)> = if holdings.is_empty() {
+        let held = frags.holdings_len();
+        let entries: Vec<(u32, BulkDigest)> = if held == 0 {
             Vec::new()
         } else {
-            let start = h.holdings_cursor % holdings.len();
-            let take = ANTI_ENTROPY_BATCH.min(holdings.len());
-            h.holdings_cursor = (start + take) % holdings.len();
+            let start = h.holdings_cursor % held;
+            let take = ANTI_ENTROPY_BATCH.min(held);
+            h.holdings_cursor = (start + take) % held;
             (0..take)
-                .map(|i| holdings[(start + i) % holdings.len()])
+                .map(|i| frags.holding((start + i) % held))
                 .collect()
         };
         let peer = match g {

@@ -15,7 +15,7 @@
 //! | [`stamps`] | `sbs-stamps` | bounded sequence numbers, epochs, timestamps |
 //! | [`check`] | `sbs-check` | regularity / atomicity / inversion checkers + differential harness |
 //! | [`baseline`] | `sbs-baseline` | masking-quorum and quiescence-dependent comparison registers |
-//! | [`bulk`] | `sbs-bulk` | bulk plane: wide FNV digests, k-of-m coding + Merkle commitments, verified fragment store, 2t+1 placement |
+//! | [`bulk`] | `sbs-bulk` | bulk plane: word-at-a-time 256-bit digests, table-driven k-of-m coding + Merkle commitments, verified fragment store, 2t+1 placement |
 //! | [`store`] | `sbs-store` | sharded multi-register key-value store + YCSB-style workload engine |
 //! | [`net`] | `sbs-net` | canonical wire codec + real-socket (TCP) transport runtime and harness |
 //!
